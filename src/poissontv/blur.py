@@ -1,15 +1,16 @@
 """Periodic blur operators and point-spread-function generators.
 
 The forward operator and its adjoint are circular convolutions realized
-in the frequency domain.  All PSFs are nonnegative and normalized to sum
-one, so the resulting circulant matrix is doubly stochastic: constant
-images are fixed points and total flux is conserved.
+in the frequency domain with real FFTs.  All PSFs are nonnegative and
+normalized to sum one, so the resulting circulant matrix is doubly
+stochastic: constant images are fixed points and total flux is
+conserved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft2, ifft2
+from scipy.fft import irfft2, rfft2
 
 from .image import load_f64img, save_f64img
 
@@ -24,6 +25,8 @@ class Psf:
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=np.float64)
+        if not np.all(np.isfinite(k)):
+            raise ValueError("PSF kernel must be finite")
         if k.ndim != 2 or k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
             raise ValueError("PSF kernel must be 2D with odd dimensions")
         if np.any(k < 0):
@@ -115,8 +118,10 @@ def disk_psf(radius, supersample=33):
 
 
 class BlurOperator:
-    """Circular convolution by a PSF on a fixed r x s grid, via FFT.
+    """Circular convolution by a PSF on a fixed r x s grid, via real FFT.
 
+    The OTF is stored as a half spectrum (s // 2 + 1 columns); inverse
+    transforms are told the grid shape, which odd widths need.
     Immutable after construction; `apply` and `apply_adjoint` are pure.
     """
 
@@ -133,7 +138,8 @@ class BlurOperator:
         padded = np.roll(padded, (-cy, -cx), axis=(0, 1))
         self.r = r
         self.s = s
-        self._otf = fft2(padded)
+        self._otf = rfft2(padded)
+        self._otf_conj = np.conj(self._otf)
 
     def _check(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -144,8 +150,8 @@ class BlurOperator:
 
     def apply(self, x):
         x = self._check(x)
-        return np.real(ifft2(self._otf * fft2(x)))
+        return irfft2(self._otf * rfft2(x), s=(self.r, self.s))
 
     def apply_adjoint(self, y):
         y = self._check(y)
-        return np.real(ifft2(np.conj(self._otf) * fft2(y)))
+        return irfft2(self._otf_conj * rfft2(y), s=(self.r, self.s))

@@ -148,19 +148,26 @@ def build_psf(cfg, shape):
     return disk_psf(cfg["radius"])
 
 
+def _bundle_meta(cfg):
+    """The meta.json of the bundle the config names; {} for other problems."""
+    name = cfg["problem"]
+    if not os.path.isdir(name):
+        return {}
+    try:
+        with open(os.path.join(name, "meta.json")) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return {}
+
+
 def problem_label(cfg):
     name = cfg["problem"]
     if name == "phantom":
         return "phantom"
-    if os.path.isdir(name):
-        # Bundles record the name they were generated under.
-        try:
-            with open(os.path.join(name, "meta.json")) as fh:
-                recorded = json.load(fh).get("problem")
-            if recorded:
-                return recorded
-        except (OSError, json.JSONDecodeError):
-            pass
+    # Bundles record the name they were generated under.
+    recorded = _bundle_meta(cfg).get("problem")
+    if recorded:
+        return recorded
     stem = os.path.basename(name.rstrip("/"))
     return os.path.splitext(stem)[0]
 
@@ -196,7 +203,10 @@ def feasible_set_for(cfg, problem):
 def starting_guess(cfg, problem):
     mode = cfg["start"]
     if mode == "auto":
-        mode = "observed" if cfg["blur"] == "gaussian" else "flat"
+        # A bundle's blur is the one it was generated with, whatever
+        # --blur says.
+        blur = _bundle_meta(cfg).get("blur", cfg["blur"])
+        mode = "observed" if blur == "gaussian" else "flat"
     if mode == "observed":
         return problem.observed.copy()
     flat = problem.flux / problem.observed.size

@@ -38,8 +38,8 @@ class FeasibleSet:
     """
 
     def __init__(self, flux=None):
-        if flux is not None and flux <= 0:
-            raise ValueError("flux constant must be positive")
+        if flux is not None and not (np.isfinite(flux) and flux > 0):
+            raise ValueError("flux constant must be positive and finite")
         self.flux = flux
 
     @classmethod

@@ -24,6 +24,8 @@ class PoissonData:
         if y.shape != (op.r, op.s):
             raise ValueError("observed image shape does not match operator")
         b = np.broadcast_to(np.asarray(background, dtype=np.float64), y.shape).copy()
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(b))):
+            raise ValueError("observed counts and background must be finite")
         if np.any(b <= 0):
             raise ValueError("background must be positive everywhere")
         if np.any(y < 0):
@@ -71,27 +73,35 @@ class KlQuadraticModel:
     """Second-order Taylor model of the divergence, anchored at x_k.
 
     The curvature operator A^T U(x_k)^2 A + gamma I is frozen at the
-    anchor; gamma >= 0 shifts it to guarantee strong convexity.
+    anchor; gamma >= 0 shifts it to guarantee strong convexity.  `ax`,
+    when given, is A x_k; building the model then costs one adjoint.
     """
 
-    def __init__(self, data, x_k, gamma):
+    def __init__(self, data, x_k, gamma, ax=None):
         if gamma < 0:
             raise ValueError("gamma must be nonnegative")
         x_k = np.asarray(x_k, dtype=np.float64)
-        t_k = data.forward(x_k)
+        if ax is None:
+            ax = data.op.apply(x_k)
+        t_k = data.forward(x_k, ax)
         self.op = data.op
         self.gamma = gamma
         self.x_k = x_k
         self.g_k = data.op.apply_adjoint(1.0 - data.y / t_k)
         self.u2 = data.y / (t_k * t_k)
-        self.value_k = kl_value(data, x_k)
+        self.value_k = kl_value(data, x_k, ax)
 
     def hessian_vec(self, v):
         return self.op.apply_adjoint(self.u2 * self.op.apply(v)) + self.gamma * v
 
+    def _curvature(self, d):
+        """H d; at the anchor (d = 0) it is zero and costs no blur."""
+        return self.hessian_vec(d) if d.any() else np.zeros_like(d)
+
     def value(self, x):
         d = x - self.x_k
-        return self.value_k + _dot(self.g_k, d) + 0.5 * _dot(d, self.hessian_vec(d))
+        return (self.value_k + _dot(self.g_k, d)
+                + 0.5 * _dot(d, self._curvature(d)))
 
     def gradient(self, x):
-        return self.g_k + self.hessian_vec(x - self.x_k)
+        return self.g_k + self._curvature(x - self.x_k)

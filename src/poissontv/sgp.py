@@ -140,19 +140,23 @@ def sgp_solve(model, feasible_set, z0, state, config,
     state.begin_call()
     z = np.asarray(z0, dtype=np.float64)
     limit = config.max_iters if max_iters is None else max_iters
-    # Quadratic models expose their Hessian action; then line-search
-    # trial values follow exactly from the one-dimensional restriction.
-    # Other models may expose `line(z, direction)`, a cheaper evaluator
-    # of rho -> value(z + rho * direction).
+    # Quadratic models expose their Hessian action H.  One action H d
+    # per iteration then gives the line-search trial values exactly
+    # (from the one-dimensional restriction) and the next gradient by
+    # the recurrence g + rho H d, as in Bonettini, Zanella & Zanni
+    # (2009).  Other models may expose `line(z, direction)`, a cheaper
+    # evaluator of rho -> value(z + rho * direction).
     hessian_vec = getattr(model, "hessian_vec", None)
     line = getattr(model, "line", None)
     trace = SgpTrace()
     start = time.perf_counter()
     f_z = model.value(z)
+    g = None                    # gradient at z, once evaluated
     stopped_at_z = False
     calm = 0                    # consecutive small relative changes
     for _ in range(limit):
-        g = model.gradient(z)
+        if g is None:
+            g = model.gradient(z)
         pg_norm = float(np.linalg.norm(feasible_set.projected_gradient(z, g)))
         trace.pg_norms.append(pg_norm)
         if stop_norm_target is not None and pg_norm <= stop_norm_target:
@@ -174,7 +178,8 @@ def sgp_solve(model, feasible_set, z0, state, config,
         rho = 1.0
         backtracks = 0
         if hessian_vec is not None:
-            curv = _dot(direction, hessian_vec(direction))
+            hd = hessian_vec(direction)
+            curv = _dot(direction, hd)
             trial = lambda rho: f_z + rho * slope + 0.5 * rho * rho * curv
         elif line is not None:
             trial = line(z, direction)
@@ -195,8 +200,9 @@ def sgp_solve(model, feasible_set, z0, state, config,
                     break
                 trace.line_search_failed = True
                 raise RuntimeError(
-                    "SGP line search exhausted: model value and gradient "
-                    "are inconsistent")
+                    f"SGP line search exhausted after {config.max_backtracks} "
+                    f"backtracks (slope {slope:.6g}, last rho {rho:.6g}): "
+                    "model value and gradient are inconsistent")
             rho *= config.backtrack
             f_new = trial(rho)
         if stalled:
@@ -208,6 +214,9 @@ def sgp_solve(model, feasible_set, z0, state, config,
             float(np.linalg.norm(z)), np.finfo(float).tiny)
         z = z_new
         f_z = f_new
+        # Other models evaluate it when next needed: at the next pass or
+        # at exit.
+        g = g + rho * hd if hessian_vec is not None else None
         trace.iterations += 1
         trace.values.append(f_z)
         trace.steplengths.append(nu)
@@ -222,6 +231,8 @@ def sgp_solve(model, feasible_set, z0, state, config,
     if stopped_at_z:
         trace.final_pg_norm = trace.pg_norms[-1]
     else:
+        if g is None:
+            g = model.gradient(z)
         trace.final_pg_norm = float(np.linalg.norm(
-            feasible_set.projected_gradient(z, model.gradient(z))))
+            feasible_set.projected_gradient(z, g)))
     return z, trace

@@ -98,10 +98,13 @@ class SolverTrace:
 
 
 class OuterModel:
-    """F_k: quadratic KL model plus lam times the reweighted TV model."""
+    """F_k: quadratic KL model plus lam times the reweighted TV model.
 
-    def __init__(self, data, x_k, lam, mu, gamma):
-        self.kl = KlQuadraticModel(data, x_k, gamma)
+    `ax`, when given, is A x_k (see `KlQuadraticModel`).
+    """
+
+    def __init__(self, data, x_k, lam, mu, gamma, ax=None):
+        self.kl = KlQuadraticModel(data, x_k, gamma, ax)
         self.tv = TvQuadraticModel(x_k, mu)
         self.lam = lam
 
@@ -145,7 +148,11 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
     x_start = x.copy()
     memory = 1 if config.monotone else config.memory
-    f_x = objective_value(data, x, config.lam, config.mu)
+    # The one evaluation path for the objective: it keeps A x of the
+    # current iterate, so the outer line search applies A once (A d) and
+    # the next model is built from the cached A x.
+    objective = _SmoothObjective(data, config.lam, config.mu)
+    f_x = objective.value(x)
     f_hist = deque([f_x], maxlen=memory)
     state = SteplengthState(nu_min=config.sgp.nu_min, nu_max=config.sgp.nu_max)
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
@@ -155,14 +162,17 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     # gradient, so this is the model's projected-gradient norm at x^(0);
     # keeping it fixed makes the threshold sequence exactly geometric.
     ref_norm = float(np.linalg.norm(feasible_set.projected_gradient(
-        x_start, objective_gradient(data, x_start, config.lam, config.mu))))
+        x_start, objective.gradient(x_start))))
     for k in range(1, config.max_outer_iters + 1):
-        model = OuterModel(data, x, config.lam, config.mu, config.gamma)
+        model = OuterModel(data, x, config.lam, config.mu, config.gamma,
+                           objective.blurred(x))
         target = config.theta**k * ref_norm
         x_hat, inner = sgp_solve(model, feasible_set, x, state, config.sgp,
                                  stop_norm_target=target, max_iters=inner_cap)
+        # At the anchor the model costs no blur; at x_hat the inner solve
+        # already holds its value.
         fk_x = model.value(x)
-        if model.value(x_hat) > fk_x:
+        if inner.values and inner.values[-1] > fk_x:
             # Inner solve failed to decrease the model; fall back to the
             # current iterate and let the stopping test fire.
             x_hat = x
@@ -171,16 +181,19 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
         slope = _dot(model.gradient(x), d)   # equals the true gradient slope
         f_ref = max(f_hist)
         alpha = 1.0
-        f_trial = f_x if not np.any(d) else objective_value(
-            data, x + d, config.lam, config.mu)
+        trial = objective.line(x, d)
+        f_trial = trial(alpha)
         backtracks = 0
         while f_trial > f_ref + config.eta * alpha * slope:
             backtracks += 1
             if backtracks > config.max_line_search:
-                raise RuntimeError("outer line search exceeded "
-                                   f"{config.max_line_search} backtracks")
+                raise RuntimeError(
+                    f"outer line search at iteration {k}: no Armijo step "
+                    f"within {config.max_line_search} backtracks (f_ref "
+                    f"{f_ref:.17g}, slope {slope:.6g}, last alpha "
+                    f"{alpha:.6g})")
             alpha *= config.delta
-            f_trial = objective_value(data, x + alpha * d, config.lam, config.mu)
+            f_trial = trial(alpha)
         x_new = x + alpha * d
         rel_change = float(np.linalg.norm(x_new - x)) / max(
             float(np.linalg.norm(x)), np.finfo(float).tiny)
@@ -228,22 +241,23 @@ class _SmoothObjective:
         self._x = None
         self._ax = None
 
-    def _blurred(self, x):
+    def blurred(self, x):
+        """A x, from the cache when x is the last point evaluated."""
         if self._x is None or not np.array_equal(x, self._x):
             self._x, self._ax = x.copy(), self.data.op.apply(x)
         return self._ax
 
     def value(self, x):
         return objective_value(self.data, x, self.lam, self.mu,
-                               self._blurred(x))
+                               self.blurred(x))
 
     def gradient(self, x):
         return objective_gradient(self.data, x, self.lam, self.mu,
-                                  self._blurred(x))
+                                  self.blurred(x))
 
     def line(self, z, direction):
-        """rho -> value(z + rho * direction), without applying A."""
-        az = self._blurred(z)
+        """rho -> value(z + rho * direction), applying A once (A d)."""
+        az = self.blurred(z)
         ad = self.data.op.apply(direction)
 
         def value_at(rho):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ def test_psf_rejects_even_negative_unnormalized():
         Psf(np.array([[1.5, 0.0, -0.5]]))
     with pytest.raises(ValueError):
         Psf(np.full((3, 3), 1.0))
+    with pytest.raises(ValueError):
+        Psf(np.array([[0.5, np.nan, 0.5]]))
 
 
 def test_psf_save_load_round_trip(tmp_path):
@@ -201,11 +205,15 @@ def test_adjoint_identity_random_pairs():
 
 
 def test_fft_apply_matches_dense_circulant():
-    for psf in (gaussian_psf(3, 1.0), motion_psf(5, 45.0), disk_psf(1.5)):
-        op = BlurOperator(psf, 8, 8)
+    # Odd and non-square grids check that the half-spectrum inverse
+    # transforms get the grid shape.
+    shapes = ((8, 8), (7, 9), (9, 8))
+    psfs = (gaussian_psf(3, 1.0), motion_psf(5, 45.0), disk_psf(1.5))
+    for (r, s), psf in itertools.product(shapes, psfs):
+        op = BlurOperator(psf, r, s)
         a = dense_matrix(op)
         rng = np.random.default_rng(4)
-        x = rng.random((8, 8))
+        x = rng.random((r, s))
         v = x.ravel(order="F")
         assert np.allclose(op.apply(x).ravel(order="F"), a @ v, atol=1e-10)
         assert np.allclose(op.apply_adjoint(x).ravel(order="F"), a.T @ v,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from poissontv.cli import main
+from poissontv.cli import DEFAULTS, main, resolve_problem, starting_guess
 from poissontv.image import load_f64img
 from poissontv.testbed import load_problem
 
@@ -167,3 +167,14 @@ def test_sweep_from_bundle_uses_recorded_name(tmp_path):
         "--out", out)
     rows = read_csv(os.path.join(out, "summary.csv"))
     assert rows[0]["problem"] == "phantom"
+
+
+def test_auto_start_follows_the_blur_recorded_in_a_bundle(tmp_path):
+    # A motion-blur bundle starts flat even when --blur is left at its
+    # gaussian default, as it would be for `sweep --problem <bundle>`.
+    bundle = str(tmp_path / "bundle")
+    run("generate", *GEN, "--blur", "motion", "--out", bundle)
+    cfg = dict(DEFAULTS, problem=bundle)
+    problem = resolve_problem(cfg)
+    x0 = starting_guess(cfg, problem)
+    assert np.all(x0 == problem.flux / x0.size)

@@ -62,8 +62,9 @@ def oracle_tangent(w, active, flux):
 
 
 def test_construction_guards():
-    with pytest.raises(ValueError):
-        FeasibleSet.nonneg_flux(0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FeasibleSet.nonneg_flux(bad)
     with pytest.raises(ValueError):
         DiagonalMetric(np.array([1.0]), 2.0, 1.0)
     with pytest.raises(ValueError):

@@ -45,6 +45,13 @@ def test_data_validation():
         PoissonData(np.ones((2, 2)), 0.0, op)
     with pytest.raises(ValueError):
         PoissonData(np.ones((3, 3)), 1.0, op)
+    for bad in (np.nan, np.inf):
+        y = np.ones((2, 2))
+        y[0, 1] = bad
+        with pytest.raises(ValueError):
+            PoissonData(y, 1.0, op)
+    with pytest.raises(ValueError):
+        PoissonData(np.ones((2, 2)), np.nan, op)
 
 
 # -------------------------------------------------------------- value

@@ -275,7 +275,7 @@ class Inconsistent:
 
 
 def test_line_search_exhaustion_raises():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"slope -\S+, last rho \S+\)"):
         sgp_solve(Inconsistent(), FeasibleSet.nonneg(), np.array([5.0]),
                   SteplengthState(), SgpConfig(max_iters=5, max_backtracks=8))
 

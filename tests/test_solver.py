@@ -260,6 +260,62 @@ def test_cached_line_search_matches_direct_evaluation():
     assert len(applies) - cached_applies > 2 * tb.iterations
 
 
+def test_acquire_blur_calls_per_outer_iteration():
+    # Two at the start (A x0, and the adjoint in the reference gradient),
+    # then per outer iteration: one adjoint to build the model, one
+    # Hessian action (A and its adjoint) per inner iteration, and one
+    # A d for the outer line search however many trials it makes.  The
+    # strict eta makes every outer step backtrack.
+    problem = toy_problem()
+    data = problem.data()
+    calls = []
+    for name in ("apply", "apply_adjoint"):
+        fn = getattr(data.op, name)
+        setattr(data.op, name, lambda x, fn=fn: calls.append(1) or fn(x))
+    for overrides in ({}, {"eta": 0.99, "monotone": True}):
+        del calls[:]
+        _, trace = acquire_solve(data, FeasibleSet.nonneg(), problem.observed,
+                                 toy_config(max_outer_iters=8, **overrides))
+        assert len(trace.iters) == 8
+        assert len(calls) == 2 + sum(2 * i + 2 for i in trace.inner_iters)
+    assert all(a < 1.0 for a in trace.alpha)
+
+
+def test_inner_gradient_recurrence_matches_fresh_gradient():
+    # On a quadratic model the inner solve carries g + rho H d instead of
+    # re-evaluating the gradient; the carried gradient must not drift.
+    # From the flat start the minimizer has active pixels, so the
+    # gradient stays of order one and a relative comparison is sharp.
+    problem = toy_problem()
+    data = problem.data()
+    feasible = FeasibleSet.nonneg()
+    x = np.full_like(problem.observed, problem.flux / problem.observed.size)
+    model = OuterModel(data, x, LAM, 1e-2, 1e-5)
+    state = SteplengthState()
+    pairs = []
+    record = state.record
+    state.record = lambda z, g: pairs.append((z, g)) or record(z, g)
+    _, inner = sgp_solve(model, feasible, x, state,
+                         SgpConfig(max_iters=100000), stop_norm_target=1e-10)
+    assert inner.final_pg_norm <= 1e-10
+    assert len(pairs) == inner.iterations
+    for z, g in pairs:
+        fresh = model.gradient(z)
+        assert np.linalg.norm(g - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+def test_outer_line_search_failure_explains_itself():
+    # The full step's decrease is about half its linear prediction on a
+    # nearly quadratic objective, so with eta = 0.99 it fails the Armijo
+    # test, and no backtracks are allowed.
+    problem = toy_problem()
+    config = toy_config(eta=0.99, monotone=True, max_line_search=0)
+    with pytest.raises(RuntimeError, match=r"iteration 1: .*f_ref .*slope "
+                       r"-.*last alpha 1\)"):
+        acquire_solve(problem.data(), FeasibleSet.nonneg(), problem.observed,
+                      config)
+
+
 def test_sgp_restore_does_not_creep_on_the_phantom():
     # At (SNR 40, seed 3) a scaling floor above the iterate's smallest
     # pixels made SGP zero them on long steps and spend hundreds of
