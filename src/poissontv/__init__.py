@@ -8,7 +8,7 @@ line-search solver (``acquire``) together with a test-problem generator
 and benchmark CLI.
 """
 
-from .image import Image, from_vector, to_vector, scale_to_unit_max
+from .image import from_vector, to_vector, scale_to_unit_max
 from .blur import Psf, BlurOperator, gaussian_psf, motion_psf, disk_psf
 from .kl import PoissonData, kl_value, kl_gradient, kl_hessian_vec, KlQuadraticModel
 from .tv import (
@@ -23,7 +23,6 @@ from .sgp import SgpConfig, SteplengthState, sgp_solve
 from .solver import AcquireConfig, SolverTrace, acquire_solve, sgp_restore
 
 __all__ = [
-    "Image",
     "from_vector",
     "to_vector",
     "scale_to_unit_max",

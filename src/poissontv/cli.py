@@ -25,9 +25,7 @@ import numpy as np
 from .blur import gaussian_psf, motion_psf, disk_psf
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
-from .solver import (SGP_STOP_PATIENCE, AcquireConfig, acquire_solve,
-                     sgp_restore)
-from .sgp import SgpConfig
+from .solver import AcquireConfig, acquire_solve, sgp_restore, stop_rule
 from .testbed import load_problem, make_problem, save_problem, shepp_logan
 
 DEFAULTS = {
@@ -127,6 +125,8 @@ def validate_config(cfg):
         raise ConfigError("field 'method': must be acquire, sgp or both")
     if cfg["max_time"] <= 0 or cfg["max_iters"] < 1:
         raise ConfigError("field 'max_time'/'max_iters': must be positive")
+    if cfg["inner_max_iters"] < 0:
+        raise ConfigError("field 'inner_max_iters': must be nonnegative")
 
 
 def _method_list(method):
@@ -228,7 +228,6 @@ def solver_config(cfg, tol, track_mssim=False):
         max_time=cfg["max_time"],
         monotone=bool(cfg["monotone"]),
         track_mssim=track_mssim,
-        sgp=SgpConfig(),
     )
 
 
@@ -309,19 +308,16 @@ def sweep_rows(method, cfg, problem, tols):
 
     Stopping on relative change at Tol truncates the (deterministic)
     iterate sequence, so one run at min(Tol) reproduces every run of the
-    sweep; iterates are snapshotted at each tolerance crossing.
+    sweep: the method's own stop rule runs at every tolerance, and the
+    iterate is snapshotted where each one fires.
     """
     pending = list(tols)        # strictly decreasing
     snapshots = {}
-    # SGP stops only after the relative change stays small for a full
-    # steplength cycle; ACQUIRE stops on the first small change.
-    patience = SGP_STOP_PATIENCE if method == "sgp" else 1
-    streak = {tol: 0 for tol in tols}
+    stops = {tol: stop_rule(method, tol) for tol in tols}
 
     def on_iterate(k, x, rel_change):
         for tol in list(pending):
-            streak[tol] = streak[tol] + 1 if rel_change <= tol else 0
-            if streak[tol] >= patience:
+            if stops[tol](rel_change):
                 pending.remove(tol)
                 snapshots[tol] = (k, x.copy())
 

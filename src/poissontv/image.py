@@ -11,9 +11,6 @@ import struct
 
 import numpy as np
 
-# Type alias used in signatures throughout the package.
-Image = np.ndarray
-
 F64IMG_MAGIC = b"F64IMG"
 
 
@@ -40,16 +37,6 @@ def scale_to_unit_max(image):
     if scale <= 0.0:
         raise ValueError("cannot scale an image with no positive intensity")
     return image / scale, scale
-
-
-def wrap_row(k, r):
-    """Periodic wrap of a (0-based) row index."""
-    return k % r
-
-
-def wrap_col(l, s):
-    """Periodic wrap of a (0-based) column index."""
-    return l % s
 
 
 def save_f64img(path, image):

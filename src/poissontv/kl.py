@@ -7,9 +7,7 @@ the anchored second-order quadratic model used by the outer solver.
 
 import numpy as np
 
-
-def _dot(a, b):
-    return float(np.vdot(a, b))
+from .sgp import _dot
 
 
 class PoissonData:

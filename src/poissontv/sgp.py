@@ -20,6 +20,26 @@ def _dot(a, b):
     return float(np.vdot(a, b))
 
 
+def relative_change(new, old):
+    """||new - old|| / ||old||, guarded against a zero old iterate."""
+    return float(np.linalg.norm(new - old)) / max(
+        float(np.linalg.norm(old)), np.finfo(float).tiny)
+
+
+class RelChangeStop:
+    """Stop rule: true once the relative iterate change has stayed <= tol
+    for `patience` consecutive iterations."""
+
+    def __init__(self, tol, patience=1):
+        self.tol = tol
+        self.patience = patience
+        self.calm = 0
+
+    def __call__(self, rel_change):
+        self.calm = self.calm + 1 if rel_change <= self.tol else 0
+        return self.calm >= self.patience
+
+
 @dataclass
 class SgpConfig:
     """Steplength, line-search and scaling parameters.
@@ -34,15 +54,11 @@ class SgpConfig:
     creeps.
     """
 
-    max_iters: int = 10
     beta_ls: float = 1e-4          # sufficient-decrease fraction
     backtrack: float = 0.5
     max_backtracks: int = 50
-    nu_min: float = 1e-10
-    nu_max: float = 1e10
     scale_min: float = 1e-10       # diagonal scaling clamp bounds
     scale_max: float = 1e4
-    identity_scaling: bool = False  # swap in C = I to probe sensitivity
 
 
 @dataclass
@@ -118,28 +134,24 @@ class SgpTrace:
     pg_norms: list = field(default_factory=list)
     steplengths: list = field(default_factory=list)
     final_pg_norm: float = float("nan")
-    line_search_failed: bool = False
+    start_gradient: np.ndarray | None = None    # model gradient at z0
 
 
-def sgp_solve(model, feasible_set, z0, state, config,
-              stop_norm_target=None, rel_change_tol=None,
-              rel_change_patience=1, max_iters=None, max_time=None,
+def sgp_solve(model, feasible_set, z0, state, config, max_iters,
+              stop_norm_target=None, stop=None, max_time=None,
               monitor=None):
     """Run scaled gradient projection on a convex model over a feasible set.
 
     Stops when the projected-gradient norm reaches `stop_norm_target`,
-    when the relative iterate change stays below `rel_change_tol` for
-    `rel_change_patience` consecutive iterations, or on the iteration /
-    wall-time caps.  The adaptive steplength rule alternates short and
-    long Barzilai-Borwein steps, so a single small step is not evidence
-    of convergence; a patience spanning one steplength cycle filters
-    those transients out.  Every iterate is feasible and the objective
-    sequence is monotone (Armijo sufficient decrease on each accepted
-    step).
+    when `stop(rel_change)` holds after an accepted step (see
+    `RelChangeStop`), or on the iteration / wall-time caps.  Every
+    iterate is feasible and the objective sequence is monotone (Armijo
+    sufficient decrease on each accepted step).  `monitor(k, z, f,
+    rel_change, pg_norm)` sees each accepted iterate, with the
+    projected-gradient norm of the iterate it was stepped from.
     """
     state.begin_call()
     z = np.asarray(z0, dtype=np.float64)
-    limit = config.max_iters if max_iters is None else max_iters
     # Quadratic models expose their Hessian action H.  One action H d
     # per iteration then gives the line-search trial values exactly
     # (from the one-dimensional restriction) and the next gradient by
@@ -148,13 +160,12 @@ def sgp_solve(model, feasible_set, z0, state, config,
     # evaluator of rho -> value(z + rho * direction).
     hessian_vec = getattr(model, "hessian_vec", None)
     line = getattr(model, "line", None)
-    trace = SgpTrace()
     start = time.perf_counter()
     f_z = model.value(z)
-    g = None                    # gradient at z, once evaluated
+    g = model.gradient(z)       # gradient at z; None while stale
+    trace = SgpTrace(start_gradient=g)
     stopped_at_z = False
-    calm = 0                    # consecutive small relative changes
-    for _ in range(limit):
+    for _ in range(max_iters):
         if g is None:
             g = model.gradient(z)
         pg_norm = float(np.linalg.norm(feasible_set.projected_gradient(z, g)))
@@ -162,10 +173,7 @@ def sgp_solve(model, feasible_set, z0, state, config,
         if stop_norm_target is not None and pg_norm <= stop_norm_target:
             stopped_at_z = True
             break
-        if config.identity_scaling:
-            metric = DiagonalMetric(np.ones_like(z), 1.0, 1.0)
-        else:
-            metric = scaling_matrix(z, config.scale_min, config.scale_max)
+        metric = scaling_matrix(z, config.scale_min, config.scale_max)
         nu = abbmin_steplength(state, metric, z, g)
         p = feasible_set.project_weighted(metric, z - nu * metric.d * g)
         direction = p - z
@@ -186,7 +194,6 @@ def sgp_solve(model, feasible_set, z0, state, config,
         else:
             trial = lambda rho: model.value(z + rho * direction)
         f_new = trial(rho)
-        stalled = False
         while f_new > f_z + config.beta_ls * rho * slope:
             backtracks += 1
             if backtracks > config.max_backtracks:
@@ -196,22 +203,19 @@ def sgp_solve(model, feasible_set, z0, state, config,
                     # no resolvable progress remains along this
                     # direction, so treat the iterate as stationary to
                     # working precision.
-                    stalled = True
+                    stopped_at_z = True
                     break
-                trace.line_search_failed = True
                 raise RuntimeError(
                     f"SGP line search exhausted after {config.max_backtracks} "
                     f"backtracks (slope {slope:.6g}, last rho {rho:.6g}): "
                     "model value and gradient are inconsistent")
             rho *= config.backtrack
             f_new = trial(rho)
-        if stalled:
-            stopped_at_z = True
+        if stopped_at_z:
             break
         state.record(z, g)
         z_new = z + rho * direction
-        rel_change = float(np.linalg.norm(z_new - z)) / max(
-            float(np.linalg.norm(z)), np.finfo(float).tiny)
+        rel_change = relative_change(z_new, z)
         z = z_new
         f_z = f_new
         # Other models evaluate it when next needed: at the next pass or
@@ -221,11 +225,9 @@ def sgp_solve(model, feasible_set, z0, state, config,
         trace.values.append(f_z)
         trace.steplengths.append(nu)
         if monitor is not None:
-            monitor(z, f_z, pg_norm)
-        if rel_change_tol is not None:
-            calm = calm + 1 if rel_change <= rel_change_tol else 0
-            if calm >= rel_change_patience:
-                break
+            monitor(trace.iterations, z, f_z, rel_change, pg_norm)
+        if stop is not None and stop(rel_change):
+            break
         if max_time is not None and time.perf_counter() - start >= max_time:
             break
     if stopped_at_z:

@@ -8,7 +8,8 @@ direction.
 """
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 import csv
 import time
 
@@ -16,8 +17,9 @@ import numpy as np
 
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
-from .sgp import SgpConfig, SteplengthState, sgp_solve
-from .testbed import mssim as _mssim
+from .sgp import (RelChangeStop, SgpConfig, SteplengthState, _dot,
+                  relative_change, sgp_solve)
+from .testbed import mssim as _mssim, relative_error
 
 # Consecutive iterations the relative-change criterion must hold before
 # the standalone SGP run stops: wide enough to span one full cycle of
@@ -26,8 +28,15 @@ from .testbed import mssim as _mssim
 SGP_STOP_PATIENCE = 7
 
 
-def _dot(a, b):
-    return float(np.vdot(a, b))
+def stop_rule(method, tol):
+    """The relative-change stop of `method` ("acquire" or "sgp") at tol.
+
+    ACQUIRE stops on the first change <= tol.  The adaptive
+    Barzilai-Borwein rule emits short bursts of tiny steps followed by a
+    large recovery step, so SGP stops only after SGP_STOP_PATIENCE
+    consecutive ones.
+    """
+    return RelChangeStop(tol, SGP_STOP_PATIENCE if method == "sgp" else 1)
 
 
 @dataclass
@@ -55,44 +64,57 @@ class AcquireConfig:
             raise ValueError("eta and delta must lie in (0, 1)")
         if not (0 < self.theta < 1) or self.memory < 1 or self.tol < 0:
             raise ValueError("invalid theta, memory or tol")
+        if self.inner_max_iters < 0 or self.max_outer_iters < 1:
+            raise ValueError("require inner_max_iters >= 0 and "
+                             "max_outer_iters >= 1")
 
 
-@dataclass
 class SolverTrace:
-    """Per-outer-iteration history of a solve."""
+    """Per-iteration history of a solve: one list per column.
 
-    iters: list = field(default_factory=list)
-    objective: list = field(default_factory=list)
-    rel_change: list = field(default_factory=list)
-    alpha: list = field(default_factory=list)
-    inner_iters: list = field(default_factory=list)
-    pg_norm: list = field(default_factory=list)         # of F_k at the inner solution
-    rel_error: list = field(default_factory=list)       # vs ground truth, or nan
-    mssim: list = field(default_factory=list)            # optional, else nan
-    time_s: list = field(default_factory=list)
-    inner_target: list = field(default_factory=list)    # inner stopping thresholds
-    inner_ref_norm: list = field(default_factory=list)  # projected-gradient norm at x0
-    inner_cap_hit: list = field(default_factory=list)
-    stagnated: bool = False
+    COLUMNS defines the columns in CSV order, each with the value a row
+    that leaves it out records (None: every row must give it).  The CSV
+    holds the first nine, under the names in CSV_COLUMNS.
+    """
+
+    COLUMNS = {
+        "iters": None,
+        "objective": None,
+        "rel_change": None,
+        "alpha": 1.0,                    # outer step length
+        "inner_iters": 0,
+        "pg_norm": None,                 # of F_k at the inner solution
+        "rel_error": None,               # vs ground truth, or nan
+        "time_s": None,
+        "mssim": None,                   # optional, else nan
+        "inner_target": float("nan"),    # inner stopping thresholds
+        "inner_ref_norm": float("nan"),  # projected-gradient norm at x0
+        "inner_cap_hit": False,
+    }
+    CSV_COLUMNS = ("iter",) + tuple(COLUMNS)[1:9]
+
+    def __init__(self):
+        for name in self.COLUMNS:
+            setattr(self, name, [])
 
     def append(self, **row):
-        for key, value in row.items():
-            getattr(self, key).append(value)
-
-    CSV_COLUMNS = ("iter", "objective", "rel_change", "alpha", "inner_iters",
-                   "pg_norm", "rel_error", "time_s", "mssim")
+        """Add one row; a column it leaves out takes its default."""
+        row = {**{k: v for k, v in self.COLUMNS.items() if v is not None},
+               **row}
+        if row.keys() != self.COLUMNS.keys():
+            raise KeyError("trace row columns differ from COLUMNS: "
+                           f"{sorted(row.keys() ^ self.COLUMNS.keys())}")
+        for name in self.COLUMNS:
+            getattr(self, name).append(row[name])
 
     def write_csv(self, path, last=None):
         """Write the trace as CSV; `last` truncates to the first rows."""
+        columns = [getattr(self, name)
+                   for name, _ in zip(self.COLUMNS, self.CSV_COLUMNS)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_COLUMNS)
-            rows = zip(self.iters, self.objective, self.rel_change,
-                       self.alpha, self.inner_iters, self.pg_norm,
-                       self.rel_error, self.time_s, self.mssim)
-            for i, row in enumerate(rows):
-                if last is not None and i >= last:
-                    break
+            for row in islice(zip(*columns), last):
                 writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
                                  for v in row])
 
@@ -131,9 +153,25 @@ def objective_gradient(data, x, lam, mu, ax=None):
 
 
 def _rel_error(x, ground_truth):
-    if ground_truth is None:
-        return float("nan")
-    return float(np.linalg.norm(x - ground_truth) / np.linalg.norm(ground_truth))
+    return (float("nan") if ground_truth is None
+            else relative_error(x, ground_truth))
+
+
+def _recorder(config, ground_truth, on_iterate, start):
+    """A solve's trace and the one function both solvers record an
+    iterate with: it adds the error, MSSIM and time since `start`, then
+    calls `on_iterate(k, x, rel_change)`."""
+    trace = SolverTrace()
+    track = config.track_mssim and ground_truth is not None
+
+    def record(k, x, objective, rel_change, pg_norm, **row):
+        trace.append(iters=k, objective=objective, rel_change=rel_change,
+                     pg_norm=pg_norm, rel_error=_rel_error(x, ground_truth),
+                     mssim=_mssim(x, ground_truth) if track else float("nan"),
+                     time_s=time.perf_counter() - start, **row)
+        if on_iterate is not None:
+            on_iterate(k, x, rel_change)
+    return trace, record
 
 
 def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
@@ -146,7 +184,6 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    x_start = x.copy()
     memory = 1 if config.monotone else config.memory
     # The one evaluation path for the objective: it keeps A x of the
     # current iterate, so the outer line search applies A once (A d) and
@@ -154,31 +191,26 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     objective = _SmoothObjective(data, config.lam, config.mu)
     f_x = objective.value(x)
     f_hist = deque([f_x], maxlen=memory)
-    state = SteplengthState(nu_min=config.sgp.nu_min, nu_max=config.sgp.nu_max)
+    state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
-    trace = SolverTrace()
+    trace, record = _recorder(config, ground_truth, on_iterate, start)
+    stop = stop_rule("acquire", config.tol)
     # Reference norm for the inner stopping rule, fixed once per run.  At
     # the first iteration the model gradient at the start equals the true
     # gradient, so this is the model's projected-gradient norm at x^(0);
     # keeping it fixed makes the threshold sequence exactly geometric.
     ref_norm = float(np.linalg.norm(feasible_set.projected_gradient(
-        x_start, objective.gradient(x_start))))
+        x, objective.gradient(x))))
     for k in range(1, config.max_outer_iters + 1):
         model = OuterModel(data, x, config.lam, config.mu, config.gamma,
                            objective.blurred(x))
         target = config.theta**k * ref_norm
         x_hat, inner = sgp_solve(model, feasible_set, x, state, config.sgp,
-                                 stop_norm_target=target, max_iters=inner_cap)
-        # At the anchor the model costs no blur; at x_hat the inner solve
-        # already holds its value.
-        fk_x = model.value(x)
-        if inner.values and inner.values[-1] > fk_x:
-            # Inner solve failed to decrease the model; fall back to the
-            # current iterate and let the stopping test fire.
-            x_hat = x
-            trace.stagnated = True
+                                 max_iters=inner_cap, stop_norm_target=target)
         d = x_hat - x
-        slope = _dot(model.gradient(x), d)   # equals the true gradient slope
+        # The inner solve starts at x, where the model gradient equals
+        # the true one.
+        slope = _dot(inner.start_gradient, d)
         f_ref = max(f_hist)
         alpha = 1.0
         trial = objective.line(x, d)
@@ -195,30 +227,16 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
             alpha *= config.delta
             f_trial = trial(alpha)
         x_new = x + alpha * d
-        rel_change = float(np.linalg.norm(x_new - x)) / max(
-            float(np.linalg.norm(x)), np.finfo(float).tiny)
+        rel_change = relative_change(x_new, x)
         x = x_new
         f_x = f_trial
         f_hist.append(f_x)
-        track = config.track_mssim and ground_truth is not None
-        trace.append(
-            iters=k,
-            objective=f_x,
-            rel_change=rel_change,
-            alpha=alpha,
-            inner_iters=inner.iterations,
-            pg_norm=inner.final_pg_norm,
-            rel_error=_rel_error(x, ground_truth),
-            mssim=_mssim(x, ground_truth) if track else float("nan"),
-            time_s=time.perf_counter() - start,
-            inner_target=target,
-            inner_ref_norm=ref_norm,
-            inner_cap_hit=inner.iterations >= inner_cap
-            and inner.final_pg_norm > target,
-        )
-        if on_iterate is not None:
-            on_iterate(k, x, rel_change)
-        if rel_change <= config.tol:
+        record(k, x, f_x, rel_change, inner.final_pg_norm, alpha=alpha,
+               inner_iters=inner.iterations, inner_target=target,
+               inner_ref_norm=ref_norm,
+               inner_cap_hit=inner.iterations >= inner_cap
+               and inner.final_pg_norm > target)
+        if stop(rel_change):
             break
         if time.perf_counter() - start >= config.max_time:
             break
@@ -272,46 +290,15 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     """Standalone SGP baseline on the smoothed objective.
 
     Uses the same steplength/scaling machinery as the inner solver, with
-    the iteration cap lifted and stopping on relative iterate change.
-    The stop requires the small change to persist for
-    SGP_STOP_PATIENCE consecutive iterations: the adaptive
-    Barzilai-Borwein rule emits short bursts of tiny steps followed by a
-    large recovery step, and a single tiny step far from stationarity
-    would otherwise end the run early.
+    the iteration cap lifted and the SGP relative-change stop (see
+    `stop_rule`).
     """
     start = time.perf_counter()
     x0 = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    objective = _SmoothObjective(data, config.lam, config.mu)
-    state = SteplengthState(nu_min=config.sgp.nu_min, nu_max=config.sgp.nu_max)
-    trace = SolverTrace()
-    prev = {"x": x0, "k": 0}
-
-    def monitor(z, f, pg_norm):
-        prev["k"] += 1
-        rel_change = float(np.linalg.norm(z - prev["x"])) / max(
-            float(np.linalg.norm(prev["x"])), np.finfo(float).tiny)
-        prev["x"] = z
-        track = config.track_mssim and ground_truth is not None
-        trace.append(
-            iters=prev["k"],
-            objective=f,
-            rel_change=rel_change,
-            alpha=1.0,
-            inner_iters=0,
-            pg_norm=pg_norm,
-            rel_error=_rel_error(z, ground_truth),
-            mssim=_mssim(z, ground_truth) if track else float("nan"),
-            time_s=time.perf_counter() - start,
-            inner_target=float("nan"),
-            inner_ref_norm=float("nan"),
-            inner_cap_hit=False,
-        )
-        if on_iterate is not None:
-            on_iterate(prev["k"], z, rel_change)
-
-    x, _ = sgp_solve(objective, feasible_set, x0, state, config.sgp,
-                     rel_change_tol=config.tol,
-                     rel_change_patience=SGP_STOP_PATIENCE,
+    trace, record = _recorder(config, ground_truth, on_iterate, start)
+    x, _ = sgp_solve(_SmoothObjective(data, config.lam, config.mu),
+                     feasible_set, x0, SteplengthState(), config.sgp,
                      max_iters=config.max_outer_iters,
-                     max_time=config.max_time, monitor=monitor)
+                     stop=stop_rule("sgp", config.tol),
+                     max_time=config.max_time, monitor=record)
     return x, trace

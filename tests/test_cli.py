@@ -93,6 +93,29 @@ def test_sweep_determinism_excluding_wall_time(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("method", ["acquire", "sgp"])
+def test_sweep_rows_match_separate_solves(tmp_path, method):
+    # One run at min(Tol) stands for the whole sweep: its row at
+    # tolerance T must be the run `solve --tol T` makes, with the same
+    # iteration count and the same restored image, bit for bit.
+    args = GEN + ("--max-time", "30", "--max-iters", "100", "--method",
+                  method, "--lambda", "6e-3")
+    sweep = str(tmp_path / "sweep")
+    tols = ("1e-2", "1e-3")
+    assert run("sweep", *args, "--tol", ",".join(tols), "--out", sweep) == 0
+    rows = read_csv(os.path.join(sweep, "summary.csv"))
+    for tol, row in zip(tols, rows):
+        out = str(tmp_path / f"solve_{tol}")
+        assert run("solve", *args, "--tol", tol, "--out", out) == 0
+        meta = json.loads(open(os.path.join(out, "meta.json")).read())
+        # The tolerance, not the iteration cap, ends both runs.
+        assert meta["iters"] == int(row["iters"]) < 100
+        tag = f"{method}_tol{float(tol):.0e}"
+        with open(os.path.join(sweep, f"restored_{tag}.f64img"), "rb") as a, \
+                open(os.path.join(out, "restored.f64img"), "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_report_shapes(tmp_path):
     out = str(tmp_path / "sweep")
     run("sweep", *BASE, "--method", "both", "--lambda", "6e-3",
@@ -143,6 +166,8 @@ def test_invalid_configs_rejected(tmp_path):
     assert run("solve", "--config", str(cfg), "--out", out) == 2
     # Unresolvable problem path.
     assert run("solve", *BASE, "--problem", "missing.pgm", "--out", out) == 2
+    # Negative inner iteration cap (0 is the only "uncapped" value).
+    assert run("solve", *BASE, "--inner-iters", "-1", "--out", out) == 2
 
 
 def test_solve_from_pgm_file(tmp_path):

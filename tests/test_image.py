@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from poissontv.image import (from_vector, load_f64img, load_pgm, save_f64img,
-                             save_pgm, scale_to_unit_max, to_vector,
-                             wrap_col, wrap_row)
+                             save_pgm, scale_to_unit_max, to_vector)
 
 
 def test_vectorization_is_column_major():
@@ -60,19 +57,6 @@ def test_scale_to_unit_max_already_unit():
 def test_scale_to_unit_max_rejects_all_zero():
     with pytest.raises(ValueError):
         scale_to_unit_max(np.zeros((2, 2)))
-
-
-@given(st.integers(min_value=1, max_value=50))
-def test_wrap_is_periodic_bijection(r):
-    wrapped = sorted(wrap_row(k, r) for k in range(r))
-    assert wrapped == list(range(r))
-    assert wrap_row(r, r) == 0
-    assert wrap_col(r, r) == 0
-    # Composing the +1 wrap r times is the identity.
-    k = 3 % r
-    for _ in range(r):
-        k = wrap_row(k + 1, r)
-    assert k == 3 % r
 
 
 def test_f64img_round_trip(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from poissontv.constraints import DiagonalMetric, FeasibleSet
-from poissontv.sgp import (SgpConfig, SteplengthState, abbmin_steplength,
-                           scaling_matrix, sgp_solve)
+from poissontv.sgp import (RelChangeStop, SgpConfig, SteplengthState,
+                           abbmin_steplength, scaling_matrix, sgp_solve)
 
 
 class Quadratic:
@@ -185,17 +185,17 @@ def test_stationary_start_returns_immediately():
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))  # min at (1, 1)
     z0 = np.array([1.0, 1.0])
     z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, SteplengthState(),
-                         SgpConfig(), stop_norm_target=1e-12)
+                         SgpConfig(), max_iters=10, stop_norm_target=1e-12)
     assert np.array_equal(z, z0)
     assert trace.iterations == 0
 
 
 def test_1d_quadratic_converges():
-    # 0.5 (z - 3)^2 over z >= 0 from z0 = 0 with identity scaling.
+    # 0.5 (z - 3)^2 over z >= 0 from z0 = 0 with the default scaling.
     model = Quadratic(np.eye(1), np.array([-3.0]))
-    config = SgpConfig(max_iters=10, identity_scaling=True)
     z, trace = sgp_solve(model, FeasibleSet.nonneg(), np.array([0.0]),
-                         SteplengthState(), config, stop_norm_target=1e-10)
+                         SteplengthState(), SgpConfig(), max_iters=10,
+                         stop_norm_target=1e-10)
     assert abs(z[0] - 3.0) <= 1e-8
     assert trace.iterations <= 10
 
@@ -210,7 +210,7 @@ def test_qp_on_flux_simplex_matches_kkt_oracle():
     feasible = FeasibleSet.nonneg_flux(c)
     z0 = feasible.project(np.ones(3))
     z, _ = sgp_solve(Quadratic(q_mat, q_vec), feasible, z0,
-                     SteplengthState(), SgpConfig(max_iters=200),
+                     SteplengthState(), SgpConfig(), max_iters=200,
                      stop_norm_target=1e-10)
     assert np.allclose(z, expected, atol=1e-6)
 
@@ -220,15 +220,18 @@ def test_iterates_feasible_and_objective_monotone():
     a = rng.standard_normal((4, 4))
     model = Quadratic(a @ a.T + np.eye(4), rng.standard_normal(4))
     feasible = FeasibleSet.nonneg_flux(1.5)
-    seen = []
+    z0 = feasible.project(np.ones(4))
+    seen = [model.value(z0)]
 
-    def monitor(z, f, pg_norm):
+    def monitor(k, z, f, rel_change, pg_norm):
         assert feasible.contains(z)
+        assert k == len(seen)
         seen.append(f)
 
-    sgp_solve(model, feasible, feasible.project(np.ones(4)),
-              SteplengthState(), SgpConfig(max_iters=50),
-              stop_norm_target=0.0, monitor=monitor)
+    sgp_solve(model, feasible, z0, SteplengthState(), SgpConfig(),
+              max_iters=50, stop_norm_target=0.0, monitor=monitor)
+    # Monotone from the start value on: the contract ACQUIRE's outer
+    # step relies on.
     assert all(b <= a + 1e-12 for a, b in zip(seen, seen[1:]))
 
 
@@ -240,10 +243,10 @@ def test_generic_value_path_matches_fast_path():
     feasible = FeasibleSet.nonneg()
     z0 = np.full(4, 0.5)
     z1, _ = sgp_solve(Quadratic(q_mat, q_vec), feasible, z0.copy(),
-                      SteplengthState(), SgpConfig(max_iters=30),
+                      SteplengthState(), SgpConfig(), max_iters=30,
                       stop_norm_target=1e-12)
     z2, _ = sgp_solve(GradientOnly(q_mat, q_vec), feasible, z0.copy(),
-                      SteplengthState(), SgpConfig(max_iters=30),
+                      SteplengthState(), SgpConfig(), max_iters=30,
                       stop_norm_target=1e-12)
     assert np.allclose(z1, z2, atol=1e-12)
 
@@ -253,11 +256,11 @@ def test_steplength_state_persists_across_calls():
     feasible = FeasibleSet.nonneg()
     state = SteplengthState()
     sgp_solve(model, feasible, np.array([2.0, 2.0]), state,
-              SgpConfig(max_iters=5), stop_norm_target=0.0)
+              SgpConfig(), max_iters=5, stop_norm_target=0.0)
     assert state.buffer  # BB2 values recorded
     carried = min(state.buffer)
     _, trace = sgp_solve(model, feasible, np.array([3.0, 1.0]), state,
-                         SgpConfig(max_iters=5), stop_norm_target=0.0)
+                         SgpConfig(), max_iters=5, stop_norm_target=0.0)
     # First steplength of the second call comes from the carried buffer,
     # not from a cold restart at 1.
     assert trace.steplengths[0] == pytest.approx(
@@ -277,14 +280,14 @@ class Inconsistent:
 def test_line_search_exhaustion_raises():
     with pytest.raises(RuntimeError, match=r"slope -\S+, last rho \S+\)"):
         sgp_solve(Inconsistent(), FeasibleSet.nonneg(), np.array([5.0]),
-                  SteplengthState(), SgpConfig(max_iters=5, max_backtracks=8))
+                  SteplengthState(), SgpConfig(max_backtracks=8), max_iters=5)
 
 
 def test_rel_change_stop():
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))
     _, trace = sgp_solve(model, FeasibleSet.nonneg(), np.array([0.5, 0.5]),
-                         SteplengthState(), SgpConfig(max_iters=100),
-                         rel_change_tol=1e-3)
+                         SteplengthState(), SgpConfig(), max_iters=100,
+                         stop=RelChangeStop(1e-3))
     assert trace.iterations < 100
 
 
@@ -300,9 +303,8 @@ def test_rel_change_patience_delays_stop():
     for patience in (1, 4):
         z, trace = sgp_solve(model, FeasibleSet.nonneg(),
                              np.array([3.0, 0.2]), SteplengthState(),
-                             SgpConfig(max_iters=200),
-                             rel_change_tol=1e-5,
-                             rel_change_patience=patience)
+                             SgpConfig(), max_iters=200,
+                             stop=RelChangeStop(1e-5, patience))
         iters[patience] = trace.iterations
         gaps[patience] = np.linalg.norm(z - minimizer)
     assert iters[4] >= iters[1] + 3

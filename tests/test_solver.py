@@ -47,6 +47,11 @@ def test_config_validation():
         AcquireConfig(lam=1.0, eta=1.5)
     with pytest.raises(ValueError):
         AcquireConfig(lam=1.0, theta=1.0)
+    # -1 used to run uncapped like 0; 0 outer iterations left no trace.
+    with pytest.raises(ValueError):
+        AcquireConfig(lam=1.0, inner_max_iters=-1)
+    with pytest.raises(ValueError):
+        AcquireConfig(lam=1.0, max_outer_iters=0)
 
 
 # ---------------------------------------------------------- outer model
@@ -93,7 +98,7 @@ def test_full_step_satisfies_armijo_on_the_model():
     x = feasible.project(problem.observed)
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
     x_hat, _ = sgp_solve(model, feasible, x, SteplengthState(),
-                         SgpConfig(max_iters=500), stop_norm_target=1e-12)
+                         SgpConfig(), max_iters=500, stop_norm_target=1e-12)
     d = x_hat - x
     slope = float(np.vdot(model.gradient(x), d))
     assert slope < 0
@@ -244,11 +249,11 @@ def test_cached_line_search_matches_direct_evaluation():
 
     data.op.apply = counted_apply
     cached = sgp_solve(_SmoothObjective(data, LAM, 1e-2), feasible, x0,
-                       SteplengthState(), SgpConfig(max_iters=40),
+                       SteplengthState(), SgpConfig(), max_iters=40,
                        stop_norm_target=0.0)
     cached_applies = len(applies)
     direct = sgp_solve(ValueGradientOnly(data), feasible, x0,
-                       SteplengthState(), SgpConfig(max_iters=40),
+                       SteplengthState(), SgpConfig(), max_iters=40,
                        stop_norm_target=0.0)
     (za, ta), (zb, tb) = cached, direct
     assert ta.iterations == tb.iterations == 40
@@ -296,7 +301,7 @@ def test_inner_gradient_recurrence_matches_fresh_gradient():
     record = state.record
     state.record = lambda z, g: pairs.append((z, g)) or record(z, g)
     _, inner = sgp_solve(model, feasible, x, state,
-                         SgpConfig(max_iters=100000), stop_norm_target=1e-10)
+                         SgpConfig(), max_iters=100000, stop_norm_target=1e-10)
     assert inner.final_pg_norm <= 1e-10
     assert len(pairs) == inner.iterations
     for z, g in pairs:
@@ -354,3 +359,17 @@ def test_trace_time_monotone_and_csv(tmp_path):
     assert len(lines) == len(trace.iters) + 1
     trace.write_csv(path, last=3)
     assert len(path.read_text().splitlines()) == 4
+
+
+def test_trace_rows_take_column_defaults():
+    trace = SolverTrace()
+    trace.append(iters=1, objective=2.0, rel_change=0.5, pg_norm=0.1,
+                 rel_error=0.3, time_s=0.0, mssim=float("nan"))
+    assert trace.alpha == [1.0] and trace.inner_iters == [0]
+    assert trace.inner_cap_hit == [False]
+    with pytest.raises(KeyError, match="objective"):
+        trace.append(iters=2)
+    assert trace.iters == [1]       # a rejected row leaves no trace
+    with pytest.raises(KeyError, match="bogus"):
+        trace.append(iters=2, objective=2.0, rel_change=0.5, pg_norm=0.1,
+                     rel_error=0.3, time_s=0.0, mssim=0.0, bogus=1)
