@@ -17,6 +17,7 @@ meta.json written next to the results, so runs are self-describing.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,8 @@ from .blur import gaussian_psf, motion_psf, disk_psf
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
 from .solver import AcquireConfig, acquire_solve, sgp_restore, stop_rule
-from .testbed import load_problem, make_problem, save_problem, shepp_logan
+from .testbed import (PHANTOM_MIN_SIZE, load_problem, make_problem,
+                      save_problem, shepp_logan)
 
 DEFAULTS = {
     "problem": "phantom",       # built-in name, image file, or bundle dir
@@ -105,15 +107,27 @@ def validate_config(cfg):
     tol = [float(t) for t in tol]
     if not tol:
         raise ConfigError("field 'tol': list must be nonempty")
-    if any(t <= 0 for t in tol):
-        raise ConfigError("field 'tol': values must be positive")
+    if not all(0 < t < math.inf for t in tol):
+        raise ConfigError("field 'tol': values must be positive and finite")
     if any(a <= b for a, b in zip(tol, tol[1:])):
         raise ConfigError("field 'tol': values must be strictly decreasing")
     cfg["tol"] = tol
+    # meta.json echoes these, and JSON has no NaN or infinity.
+    for key in ("lambda", "mu", "gamma", "max_time"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"field '{key}': must be finite")
     if cfg["lambda"] <= 0:
         raise ConfigError("field 'lambda': must be positive")
     if cfg["mu"] <= 0:
         raise ConfigError("field 'mu': must be positive")
+    if cfg["gamma"] < 0:
+        raise ConfigError("field 'gamma': must be nonnegative")
+    for key in ("theta", "eta", "delta"):
+        if not 0 < cfg[key] < 1:
+            raise ConfigError(f"field '{key}': must lie in (0, 1)")
+    if cfg["problem"] == "phantom" and int(cfg["size"]) < PHANTOM_MIN_SIZE:
+        raise ConfigError(
+            f"field 'size': phantom size must be at least {PHANTOM_MIN_SIZE}")
     if cfg["constraint"] not in ("s1", "s2"):
         raise ConfigError("field 'constraint': must be 's1' or 's2'")
     if cfg["blur"] not in ("gaussian", "motion", "disk"):

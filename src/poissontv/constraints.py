@@ -66,7 +66,10 @@ class FeasibleSet:
         return _project_sum_constrained(v, np.ones_like(v), self.flux)
 
     def project_weighted(self, metric, v):
-        """Projection in the norm with weights 1/d_i (metric C^-1)."""
+        """Projection in the norm with weights 1/d_i (metric C^-1).
+
+        Returns a fresh array, never v itself.
+        """
         v = np.asarray(v, dtype=np.float64)
         if self.flux is None:
             # The diagonal metric is separable over the box; the weighted
@@ -83,7 +86,7 @@ class FeasibleSet:
         w = -np.asarray(grad, dtype=np.float64)
         active = x == 0
         if self.flux is None:
-            return np.where(active, np.maximum(w, 0.0), w)
+            return np.maximum(w, 0.0, out=w, where=active)
         return _project_tangent_flux(w, active)
 
     def is_stationary(self, x, grad, tol):

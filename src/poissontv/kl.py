@@ -31,6 +31,9 @@ class PoissonData:
         self.y = y
         self.b = b
         self.op = op
+        # y with ones where y = 0: y ln(_y_log / t) is then 0 there, so
+        # the divergence is one pass over every pixel, with no mask.
+        self._y_log = np.where(y > 0, y, 1.0)
         # Floor for A x + b: only FFT round-off can push it this low on
         # feasible input, so results at working precision are unaffected.
         self._den_floor = 1e-15 * float(b.max())
@@ -41,7 +44,16 @@ class PoissonData:
         `ax` is A x when the caller already holds it; x is then unused.
         """
         t = (self.op.apply(x) if ax is None else ax) + self.b
-        return np.maximum(t, self._den_floor)
+        return np.maximum(t, self._den_floor, out=t)
+
+
+def _kl_sum(data, t):
+    """The divergence at t = A x + b, which it overwrites."""
+    val = float((t - data.y).sum())
+    np.divide(data._y_log, t, out=t)
+    np.log(t, out=t)
+    t *= data.y
+    return val + float(t.sum())
 
 
 def kl_value(data, x, ax=None):
@@ -49,17 +61,17 @@ def kl_value(data, x, ax=None):
 
     `ax`, when given, is A x (see `PoissonData.forward`).
     """
-    t = data.forward(x, ax)
-    y = data.y
-    val = float((t - y).sum())
-    pos = y > 0
-    val += float((y[pos] * np.log(y[pos] / t[pos])).sum())
-    return val
+    return _kl_sum(data, data.forward(x, ax))
+
+
+def _residual_into(data, t):
+    """Overwrite t = A x + b with 1 - y / t, the adjoint's input."""
+    np.divide(data.y, t, out=t)
+    return np.subtract(1.0, t, out=t)
 
 
 def kl_gradient(data, x, ax=None):
-    t = data.forward(x, ax)
-    return data.op.apply_adjoint(1.0 - data.y / t)
+    return data.op.apply_adjoint(_residual_into(data, data.forward(x, ax)))
 
 
 def kl_hessian_vec(data, x, v):
@@ -73,6 +85,8 @@ class KlQuadraticModel:
     The curvature operator A^T U(x_k)^2 A + gamma I is frozen at the
     anchor; gamma >= 0 shifts it to guarantee strong convexity.  `ax`,
     when given, is A x_k; building the model then costs one adjoint.
+    `gradient` and `hessian_vec` return fresh arrays; the model owns one
+    image-sized scratch array.
     """
 
     def __init__(self, data, x_k, gamma, ax=None):
@@ -85,12 +99,17 @@ class KlQuadraticModel:
         self.op = data.op
         self.gamma = gamma
         self.x_k = x_k
-        self.g_k = data.op.apply_adjoint(1.0 - data.y / t_k)
         self.u2 = data.y / (t_k * t_k)
-        self.value_k = kl_value(data, x_k, ax)
+        self.value_k = _kl_sum(data, t_k.copy())
+        self.g_k = data.op.apply_adjoint(_residual_into(data, t_k))
+        self._work = np.empty_like(x_k)
 
     def hessian_vec(self, v):
-        return self.op.apply_adjoint(self.u2 * self.op.apply(v)) + self.gamma * v
+        av = self.op.apply(v)
+        av *= self.u2
+        hv = self.op.apply_adjoint(av)
+        hv += np.multiply(self.gamma, v, out=self._work)
+        return hv
 
     def _curvature(self, d):
         """H d; at the anchor (d = 0) it is zero and costs no blur."""
@@ -102,4 +121,6 @@ class KlQuadraticModel:
                 + 0.5 * _dot(d, self._curvature(d)))
 
     def gradient(self, x):
-        return self.g_k + self._curvature(x - self.x_k)
+        g = self._curvature(x - self.x_k)
+        g += self.g_k
+        return g

@@ -107,17 +107,20 @@ def abbmin_steplength(state, metric, z=None, g=None):
     d = metric.d
     s = z - state.prev_z
     w = g - state.prev_g
-    s_cinv_w = _dot(s / d, w)
-    w_cc_w = _dot(w * d, w * d)
+    s_cinv = s / d
+    s_cinv_w = _dot(s_cinv, w)
+    s_cinv_s_cinv = _dot(s_cinv, s_cinv)
+    s_c_w = _dot(np.multiply(s, d, out=s), w)
+    wd = np.multiply(w, d, out=w)
+    w_cc_w = _dot(wd, wd)
     if s_cinv_w <= 0 or w_cc_w <= 0:
         return state.nu_max
-    nu_bb1 = _dot(s / d, s / d) / s_cinv_w
+    nu_bb1 = s_cinv_s_cinv / s_cinv_w
     # BB2 measures curvature as s'Cw, whose sign can differ from that of
     # s'C^-1 w when the scaling spans orders of magnitude.  A nonpositive
     # s'Cw carries no curvature information: BB2 counts as nu_max, as in
     # Bonettini, Zanella & Zanni (2009), and never enters the buffer as a
     # tiny step that the min-BB2 branch would then take.
-    s_c_w = _dot(s * d, w)
     nu_bb2 = s_c_w / w_cc_w if s_c_w > 0 else state.nu_max
     state.buffer.append(clamp(nu_bb2))
     if nu_bb2 / nu_bb1 < state.tau_abb:
@@ -149,6 +152,10 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
     sufficient decrease on each accepted step).  `monitor(k, z, f,
     rel_change, pg_norm)` sees each accepted iterate, with the
     projected-gradient norm of the iterate it was stepped from.
+
+    The solver writes into the arrays that `hessian_vec` and
+    `project_weighted` return, so those must be fresh; it never writes
+    into z0, a returned or monitored iterate, or a gradient.
     """
     state.begin_call()
     z = np.asarray(z0, dtype=np.float64)
@@ -160,6 +167,7 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
     # evaluator of rho -> value(z + rho * direction).
     hessian_vec = getattr(model, "hessian_vec", None)
     line = getattr(model, "line", None)
+    scaled = np.empty_like(z)
     start = time.perf_counter()
     f_z = model.value(z)
     g = model.gradient(z)       # gradient at z; None while stale
@@ -175,8 +183,12 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
             break
         metric = scaling_matrix(z, config.scale_min, config.scale_max)
         nu = abbmin_steplength(state, metric, z, g)
-        p = feasible_set.project_weighted(metric, z - nu * metric.d * g)
-        direction = p - z
+        # The scaled trial point z - nu d g, formed in place.
+        np.multiply(nu, metric.d, out=scaled)
+        scaled *= g
+        np.subtract(z, scaled, out=scaled)
+        direction = feasible_set.project_weighted(metric, scaled)
+        direction -= z
         slope = _dot(g, direction)
         if slope >= 0:
             # Projection returned the current point (stationary for the
@@ -213,14 +225,22 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
             f_new = trial(rho)
         if stopped_at_z:
             break
+        # The state keeps z and g: the step and the recurrence below
+        # write only into this iteration's direction and H d.
         state.record(z, g)
-        z_new = z + rho * direction
+        direction *= rho
+        z_new = np.add(z, direction, out=direction)
         rel_change = relative_change(z_new, z)
         z = z_new
         f_z = f_new
-        # Other models evaluate it when next needed: at the next pass or
-        # at exit.
-        g = g + rho * hd if hessian_vec is not None else None
+        if hessian_vec is not None:
+            hd *= rho
+            hd += g
+            g = hd
+        else:
+            # Other models evaluate it when next needed: at the next
+            # pass or at exit.
+            g = None
         trace.iterations += 1
         trace.values.append(f_z)
         trace.steplengths.append(nu)

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 import csv
+import math
 import time
 
 import numpy as np
@@ -58,6 +59,11 @@ class AcquireConfig:
     sgp: SgpConfig = field(default_factory=SgpConfig)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.lam, self.mu, self.gamma, self.tol)):
+            raise ValueError("lam, mu, gamma and tol must be finite")
+        if not self.max_time > 0:       # also NaN; inf means no budget
+            raise ValueError("max_time must be positive")
         if self.lam <= 0 or self.mu <= 0 or self.gamma < 0:
             raise ValueError("require lam > 0, mu > 0, gamma >= 0")
         if not (0 < self.eta < 1 and 0 < self.delta < 1):
@@ -134,10 +140,18 @@ class OuterModel:
         return self.kl.value(x) + self.lam * self.tv.value(x)
 
     def gradient(self, x):
-        return self.kl.gradient(x) + self.lam * self.tv.gradient(x)
+        return _add_scaled(self.kl.gradient(x), self.lam, self.tv.gradient(x))
 
     def hessian_vec(self, v):
-        return self.kl.hessian_vec(v) + self.lam * self.tv.hessian_vec(v)
+        return _add_scaled(self.kl.hessian_vec(v), self.lam,
+                           self.tv.hessian_vec(v))
+
+
+def _add_scaled(a, lam, b):
+    """a + lam * b, written into a (b is overwritten); both fresh."""
+    b *= lam
+    a += b
+    return a
 
 
 def objective_value(data, x, lam, mu, ax=None):
@@ -149,7 +163,7 @@ def objective_value(data, x, lam, mu, ax=None):
 
 
 def objective_gradient(data, x, lam, mu, ax=None):
-    return kl_gradient(data, x, ax) + lam * tv_mu_gradient(x, mu)
+    return _add_scaled(kl_gradient(data, x, ax), lam, tv_mu_gradient(x, mu))
 
 
 def _rel_error(x, ground_truth):

@@ -17,6 +17,8 @@ from .blur import BlurOperator, Psf
 from .image import load_f64img, save_f64img
 from .kl import PoissonData
 
+PHANTOM_MIN_SIZE = 32
+
 # MATLAB-convention ellipse tables: intensity, half-axes a (x) and b (y),
 # center (x0, y0), rotation in degrees.  The "original" intensities follow
 # the 1974 head phantom; "modified" is the common high-contrast variant.
@@ -63,8 +65,8 @@ def render_ellipses(ellipses, n):
 
 def shepp_logan(n, variant="modified"):
     """Deterministic head phantom on an n x n grid, intensities in [0, 1]."""
-    if n < 32:
-        raise ValueError("phantom size must be at least 32")
+    if n < PHANTOM_MIN_SIZE:
+        raise ValueError(f"phantom size must be at least {PHANTOM_MIN_SIZE}")
     # Summed intensities can dip a few ulp below zero where ellipse
     # contributions cancel exactly; clamp to keep the range contract.
     return np.maximum(render_ellipses(shepp_logan_ellipses(variant), n), 0.0)

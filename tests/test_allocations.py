@@ -1,0 +1,74 @@
+"""Allocation budgets of the hot elementwise kernels.
+
+Each budget is the peak traced memory of one call, after one warm-up
+call, in units of one 256 x 256 float64 image.  tracemalloc sees numpy's
+data buffers, so the counts do not depend on the machine's speed.  A
+kernel that brings back per-call temporaries (np.roll copies, masks,
+products formed twice) goes over its budget.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from poissontv.blur import BlurOperator, gaussian_psf
+from poissontv.kl import PoissonData
+from poissontv.sgp import SteplengthState, abbmin_steplength, scaling_matrix
+from poissontv.solver import OuterModel
+from poissontv.tv import TvQuadraticModel
+
+N = 256
+
+
+def peak_images(call):
+    """Peak traced memory of one call, in images, after a warm-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (N * N * 8)
+
+
+@pytest.fixture(scope="module")
+def images():
+    rng = np.random.default_rng(0)
+    x = rng.random((N, N)) + 0.01
+    x_prev = x + 0.01 * rng.random((N, N))
+    return x, x_prev
+
+
+# Measured with the in-place kernels (before them, in parentheses):
+# TV model gradient 1.38 (6.02), value 0.38 (4.00), OuterModel Hessian
+# action 3.01 (7.02), ABBmin steplength 3.00 (4.00).  The fractions are
+# numpy's iteration buffers over the non-contiguous stencil slices; the
+# Hessian action holds A v, its half spectrum and the returned array.
+def test_tv_model_budget(images):
+    x, x_prev = images
+    model = TvQuadraticModel(x, 1e-2)
+    assert peak_images(lambda: model.gradient(x_prev)) <= 2.0
+    assert peak_images(lambda: model.value(x_prev)) <= 1.0
+
+
+def test_outer_hessian_budget(images):
+    x, x_prev = images
+    op = BlurOperator(gaussian_psf(9, 2.0), N, N)
+    data = PoissonData(op.apply(x) + 1e-3, 1e-3, op)
+    model = OuterModel(data, x, 6e-3, 1e-2, 1e-5)
+    v = x - x_prev
+    assert peak_images(lambda: model.hessian_vec(v)) <= 3.5
+
+
+def test_abbmin_steplength_budget(images):
+    x, x_prev = images
+    g, g_prev = np.sin(x), np.sin(x_prev)
+    metric = scaling_matrix(x)
+
+    def steplength():
+        state = SteplengthState()
+        state.record(x_prev, g_prev)
+        return abbmin_steplength(state, metric, x, g)
+    assert peak_images(steplength) <= 3.5

@@ -168,6 +168,14 @@ def test_invalid_configs_rejected(tmp_path):
     assert run("solve", *BASE, "--problem", "missing.pgm", "--out", out) == 2
     # Negative inner iteration cap (0 is the only "uncapped" value).
     assert run("solve", *BASE, "--inner-iters", "-1", "--out", out) == 2
+    # Non-finite settings used to run to a NaN image or a NaN tolerance;
+    # the others used to end in a traceback.
+    for flag, value in (("--lambda", "nan"), ("--mu", "nan"),
+                        ("--gamma", "inf"), ("--tol", "nan"),
+                        ("--max-time", "nan"), ("--theta", "2"),
+                        ("--gamma", "-1"), ("--size", "16")):
+        assert run("solve", *BASE, flag, value, "--out", out) == 2, flag
+    assert not os.path.exists(out)
 
 
 def test_solve_from_pgm_file(tmp_path):

@@ -10,7 +10,7 @@ from poissontv.solver import (AcquireConfig, OuterModel, SolverTrace,
                               objective_gradient, objective_value,
                               sgp_restore)
 from poissontv.testbed import make_problem, shepp_logan
-from poissontv.tv import tv_mu_gradient
+from poissontv.tv import TvQuadraticModel, tv_mu_gradient
 
 
 LAM = 1e-3
@@ -52,6 +52,14 @@ def test_config_validation():
         AcquireConfig(lam=1.0, inner_max_iters=-1)
     with pytest.raises(ValueError):
         AcquireConfig(lam=1.0, max_outer_iters=0)
+    # Non-finite settings used to run, some to a NaN image.
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(lam=nan), dict(mu=nan), dict(tol=nan),
+                dict(max_time=nan), dict(gamma=inf), dict(lam=inf)):
+        with pytest.raises(ValueError):
+            AcquireConfig(**{"lam": 1.0, **bad})
+    # An infinite wall-clock budget means none.
+    AcquireConfig(lam=1.0, max_time=inf)
 
 
 # ---------------------------------------------------------- outer model
@@ -307,6 +315,77 @@ def test_inner_gradient_recurrence_matches_fresh_gradient():
     for z, g in pairs:
         fresh = model.gradient(z)
         assert np.linalg.norm(g - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+def test_model_results_are_fresh_and_inputs_untouched():
+    # The models keep work buffers; an array one returns must not change
+    # on a later call, and no call may write into its argument.
+    problem = toy_problem()
+    data = problem.data()
+    rng = np.random.default_rng(3)
+    x, v, w = (rng.random(problem.observed.shape) + 0.1 for _ in range(3))
+    kept = [a.copy() for a in (x, v, w)]
+    tv = TvQuadraticModel(x, 1e-2)
+    outer = OuterModel(data, x, LAM, 1e-2, 1e-5)
+    for method in (tv.gradient, tv.hessian_vec, outer.kl.gradient,
+                   outer.kl.hessian_vec, outer.gradient, outer.hessian_vec):
+        first = method(v)
+        snapshot = first.copy()
+        second = method(w)
+        tv.value(w)
+        outer.value(w)
+        assert second is not first
+        assert np.array_equal(first, snapshot)
+        assert np.array_equal(method(v), snapshot)
+    for a, k in zip((x, v, w), kept):
+        assert np.array_equal(a, k)
+
+
+class RecordCheckingState(SteplengthState):
+    """Steplength state that checks its recorded pair is never written."""
+
+    def record(self, z, g):
+        self.check()
+        super().record(z, g)
+        self.recorded = (z.copy(), g.copy())
+
+    def check(self):
+        if self.prev_z is not None:
+            assert np.array_equal(self.prev_z, self.recorded[0])
+            assert np.array_equal(self.prev_g, self.recorded[1])
+
+
+@pytest.mark.parametrize("feasible", [FeasibleSet.nonneg(), None],
+                         ids=["s1", "s2"])
+def test_sgp_step_writes_only_arrays_it_owns(feasible):
+    # sgp_solve forms its step and gradient recurrence in place: the
+    # recorded (z, g) pair, every monitored iterate, the start and the
+    # returned iterate must keep their values across later steps and a
+    # later call that shares the state, as in ACQUIRE's inner solves.
+    problem = toy_problem()
+    data = problem.data()
+    feasible = feasible or FeasibleSet.nonneg_flux(problem.flux)
+    x = np.full_like(problem.observed, problem.flux / problem.observed.size)
+    x_kept = x.copy()
+    state = RecordCheckingState()
+    seen = []
+
+    def monitor(k, z, f, rel_change, pg_norm):
+        state.check()
+        seen.append((z, z.copy()))
+
+    model = OuterModel(data, x, LAM, 1e-2, 1e-5)
+    z1, inner = sgp_solve(model, feasible, x, state, SgpConfig(),
+                          max_iters=15, monitor=monitor)
+    z1_kept = z1.copy()
+    start_gradient = inner.start_gradient.copy()
+    z2, _ = sgp_solve(OuterModel(data, z1, LAM, 1e-2, 1e-5), feasible, z1,
+                      state, SgpConfig(), max_iters=15, monitor=monitor)
+    assert len(seen) == 30
+    assert np.array_equal(x, x_kept) and np.array_equal(z1, z1_kept)
+    assert np.array_equal(inner.start_gradient, start_gradient)
+    assert all(np.array_equal(z, kept) for z, kept in seen)
+    assert z2 is seen[-1][0]
 
 
 def test_outer_line_search_failure_explains_itself():

@@ -33,13 +33,33 @@ def central_difference_gradient(f, x, h=1e-6):
 # ------------------------------------------------------------ stencils
 
 
+def roll_diffs(x):
+    """The shift-subtract stencil the slice version replaced."""
+    return np.roll(x, -1, axis=0) - x, np.roll(x, -1, axis=1) - x
+
+
+def roll_adjoint(pv, ph):
+    return (np.roll(pv, 1, axis=0) - pv) + (np.roll(ph, 1, axis=1) - ph)
+
+
+# Degenerate grids (one row, one column, 2x2) put the wrap slice on the
+# only row or column; 7x9 has odd, unequal sides.
+GRIDS = [(5, 4), (1, 5), (5, 1), (2, 2), (7, 9)]
+
+
 def test_forward_diff_matches_brute_force():
     rng = np.random.default_rng(0)
-    x = rng.random((5, 4))
-    dv, dh = forward_diff(x)
-    bv, bh = brute_force_diffs(x)
-    assert np.array_equal(dv, bv)
-    assert np.array_equal(dh, bh)
+    for shape in GRIDS:
+        x = rng.random(shape)
+        dv, dh = forward_diff(x)
+        bv, bh = brute_force_diffs(x)
+        assert np.array_equal(dv, bv)
+        assert np.array_equal(dh, bh)
+        # Bit for bit the roll stencil, also into caller buffers.
+        rv, rh = roll_diffs(x)
+        out = (np.full(shape, np.nan), np.full(shape, np.nan))
+        for got in (forward_diff(x), forward_diff(x, out)):
+            assert np.array_equal(got[0], rv) and np.array_equal(got[1], rh)
 
 
 def test_diff_of_constant_is_zero():
@@ -49,12 +69,22 @@ def test_diff_of_constant_is_zero():
 
 def test_diff_adjoint_identity():
     rng = np.random.default_rng(1)
-    x = rng.random((6, 7))
-    pv, ph = rng.random((2, 6, 7))
-    dv, dh = forward_diff(x)
-    lhs = float(np.vdot(dv, pv) + np.vdot(dh, ph))
-    rhs = float(np.vdot(x, diff_adjoint(pv, ph)))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    for shape in [(6, 7)] + GRIDS:
+        x = rng.random(shape)
+        pv, ph = rng.random((2,) + shape)
+        dv, dh = forward_diff(x)
+        lhs = float(np.vdot(dv, pv) + np.vdot(dh, ph))
+        rhs = float(np.vdot(x, diff_adjoint(pv, ph)))
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+        # Bit for bit the roll adjoint, also into caller buffers, with
+        # the inputs left as they were.
+        keep = pv.copy(), ph.copy()
+        ref = roll_adjoint(pv, ph)
+        out, work = np.full(shape, np.nan), np.full(shape, np.nan)
+        assert np.array_equal(diff_adjoint(pv, ph), ref)
+        assert diff_adjoint(pv, ph, out=out, work=work) is out
+        assert np.array_equal(out, ref)
+        assert np.array_equal(pv, keep[0]) and np.array_equal(ph, keep[1])
 
 
 # ------------------------------------------------------------ tv value
