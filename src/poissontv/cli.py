@@ -112,19 +112,10 @@ def validate_config(cfg):
     if any(a <= b for a, b in zip(tol, tol[1:])):
         raise ConfigError("field 'tol': values must be strictly decreasing")
     cfg["tol"] = tol
-    # meta.json echoes these, and JSON has no NaN or infinity.
-    for key in ("lambda", "mu", "gamma", "max_time"):
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"field '{key}': must be finite")
-    if cfg["lambda"] <= 0:
-        raise ConfigError("field 'lambda': must be positive")
-    if cfg["mu"] <= 0:
-        raise ConfigError("field 'mu': must be positive")
-    if cfg["gamma"] < 0:
-        raise ConfigError("field 'gamma': must be nonnegative")
-    for key in ("theta", "eta", "delta"):
-        if not 0 < cfg[key] < 1:
-            raise ConfigError(f"field '{key}': must lie in (0, 1)")
+    # meta.json echoes the config, and JSON has no infinity; the solver
+    # itself reads an infinite budget as none.
+    if not math.isfinite(cfg["max_time"]):
+        raise ConfigError("field 'max_time': must be finite")
     if cfg["problem"] == "phantom" and int(cfg["size"]) < PHANTOM_MIN_SIZE:
         raise ConfigError(
             f"field 'size': phantom size must be at least {PHANTOM_MIN_SIZE}")
@@ -137,10 +128,10 @@ def validate_config(cfg):
     methods = _method_list(cfg["method"])
     if not methods or any(m not in ("acquire", "sgp") for m in methods):
         raise ConfigError("field 'method': must be acquire, sgp or both")
-    if cfg["max_time"] <= 0 or cfg["max_iters"] < 1:
-        raise ConfigError("field 'max_time'/'max_iters': must be positive")
-    if cfg["inner_max_iters"] < 0:
-        raise ConfigError("field 'inner_max_iters': must be nonnegative")
+    try:
+        solver_config(cfg, tol[-1])
+    except ValueError as exc:
+        raise ConfigError(f"solver settings: {exc}")
 
 
 def _method_list(method):
@@ -187,25 +178,30 @@ def problem_label(cfg):
 
 
 def resolve_problem(cfg):
-    """Build or load the test problem named by the config."""
+    """Build or load the test problem named by the config; settings the
+    phantom, PSF or observation reject are reported as ConfigError."""
     name = cfg["problem"]
     if os.path.isdir(name):
         return load_problem(name)
-    if name == "phantom":
-        reference = shepp_logan(int(cfg["size"]), cfg["variant"])
-    elif name.endswith((".pgm", ".f64img")):
-        loader = load_pgm if name.endswith(".pgm") else load_f64img
-        try:
-            reference = loader(name)
-        except OSError as exc:
-            raise ConfigError(f"field 'problem': cannot read {name}: {exc}")
-    else:
+    if name != "phantom" and not name.endswith((".pgm", ".f64img")):
         raise ConfigError(f"field 'problem': cannot resolve {name!r} "
                           "(expected 'phantom', a .pgm/.f64img file, or a "
                           "bundle directory)")
-    psf = build_psf(cfg, reference.shape)
-    return make_problem(reference, psf, cfg["snr"], int(cfg["seed"]),
-                        background=cfg["background"])
+    try:
+        if name == "phantom":
+            reference = shepp_logan(int(cfg["size"]), cfg["variant"])
+        else:
+            loader = load_pgm if name.endswith(".pgm") else load_f64img
+            reference = loader(name)
+        problem = make_problem(reference, build_psf(cfg, reference.shape),
+                               cfg["snr"], int(cfg["seed"]),
+                               background=cfg["background"])
+        problem.data()          # the fidelity term checks the background
+    except OSError as exc:
+        raise ConfigError(f"field 'problem': cannot read {name}: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"problem settings: {exc}")
+    return problem
 
 
 def feasible_set_for(cfg, problem):

@@ -63,7 +63,7 @@ class FeasibleSet:
         v = np.asarray(v, dtype=np.float64)
         if self.flux is None:
             return np.maximum(v, 0.0)
-        return _project_sum_constrained(v, np.ones_like(v), self.flux)
+        return _project_flux(v, np.ones_like(v), self.flux)
 
     def project_weighted(self, metric, v):
         """Projection in the norm with weights 1/d_i (metric C^-1).
@@ -76,7 +76,7 @@ class FeasibleSet:
             # and Euclidean projections coincide.
             return np.maximum(v, 0.0)
         d = np.broadcast_to(metric.d, v.shape)
-        return _project_sum_constrained(v, d, self.flux)
+        return _project_flux(v, d, self.flux)
 
     def projected_gradient(self, x, grad):
         """Projection of -grad onto the tangent cone at feasible x."""
@@ -87,55 +87,48 @@ class FeasibleSet:
         active = x == 0
         if self.flux is None:
             return np.maximum(w, 0.0, out=w, where=active)
-        return _project_tangent_flux(w, active)
+        return _project_flux(w, np.ones_like(w), 0.0, active)
 
     def is_stationary(self, x, grad, tol):
         return float(np.linalg.norm(self.projected_gradient(x, grad))) <= tol
 
 
-def _project_sum_constrained(v, d, c):
-    """argmin sum (x_i - v_i)^2 / d_i  s.t.  x >= 0, sum x = c.
+def _project_flux(v, d, c, bounded=None):
+    """argmin sum (x_i - v_i)^2 / d_i  s.t.  sum x = c, x_i >= 0 wherever
+    bounded is true (everywhere when it is None).
 
-    The KKT solution is x = max(v - tau*d, 0) with tau the root of the
-    decreasing piecewise-linear map tau -> sum max(v_i - tau*d_i, 0) - c,
-    found exactly by a scan over the sorted breakpoints v_i / d_i.
+    The solution is x = v - tau*d, clipped at 0 on bounded entries, with
+    tau the root of the decreasing piecewise-linear map tau -> sum x - c.
+    A median split over its breakpoints v_i / d_i (Kiwiel, JOTA 2008)
+    finds the root exactly in at most floor(log2 n) + 1 passes, O(n) work
+    in all, with no sort.
     """
-    shape = v.shape
-    v = v.ravel()
-    d = d.ravel()
-    t = v / d
-    order = np.argsort(t)
-    t_s = t[order]
-    v_s = v[order]
-    d_s = d[order]
-    # Suffix sums over the still-positive entries for tau in each segment.
-    suff_v = np.cumsum(v_s[::-1])[::-1]
-    suff_d = np.cumsum(d_s[::-1])[::-1]
-    taus = (suff_v - c) / suff_d
-    ok = np.nonzero(taus <= t_s)[0]
-    # c > 0 guarantees a root with a nonempty positive set.
-    j = ok[0]
-    tau = taus[j]
-    return np.maximum(v - tau * d, 0.0).reshape(shape)
-
-
-def _project_tangent_flux(w, active):
-    """Project w onto {v : sum v = 0, v_i >= 0 where active_i}.
-
-    Iterative active-set reduction: project onto the zero-sum hyperplane
-    over the tentatively-free coordinates, pin the sign-violating active
-    coordinates to zero, repeat.  Each pass only adds pins, so it
-    terminates in at most n passes.
-    """
-    shape = w.shape
-    w = w.ravel()
-    active = active.ravel()
-    pinned = np.zeros_like(active)
-    while True:
-        free = ~pinned
-        tau = w[free].sum() / free.sum()
-        v = np.where(free, w - tau, 0.0)
-        violating = free & active & (v < 0)
-        if not violating.any():
-            return v.reshape(shape)
-        pinned |= violating
+    vr, dr = v.ravel(), d.ravel()
+    t = vr / dr
+    # Clipping only raises sum x, so the root is at or above the unclipped
+    # one, tau0, and entries breaking below tau0 end at zero.  The min
+    # keeps the top breakpoint should rounding lift tau0 above it.
+    keep = t >= min((vr.sum() - c) / dr.sum(), t.max())
+    s_v = s_d = 0.0             # sums over entries positive at the root
+    if bounded is not None:     # unbounded entries are never clipped
+        free = np.flatnonzero(~bounded.ravel())
+        s_v, s_d = vr[free].sum(), dr[free].sum()
+        keep &= bounded.ravel()
+    keep = np.flatnonzero(keep)
+    while keep.size:
+        t, vr, dr = t[keep], vr[keep], dr[keep]
+        k = t.size // 2
+        idx = np.argpartition(t, k)
+        m = t[idx[k]]
+        hi = idx[k + 1:]        # breakpoints at or above the median m
+        hi_v, hi_d = vr[hi].sum(), dr[hi].sum()
+        if s_v + hi_v - m * (s_d + hi_d) - c > 0:
+            keep = hi           # root above m: the rest end at zero
+        else:                   # root at or below m: hi and m stay positive
+            s_v += hi_v + vr[idx[k]]
+            s_d += hi_d + dr[idx[k]]
+            keep = idx[:k]
+    x = d * ((c - s_v) / s_d)
+    x += v
+    return np.maximum(x, 0.0, out=x,
+                      where=True if bounded is None else bounded)

@@ -11,7 +11,7 @@ import json
 import os
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blur import BlurOperator, Psf
 from .image import load_f64img, save_f64img
@@ -78,6 +78,8 @@ def snr_scale_factor(x_ref, b_total, target_snr_db):
 
     Closed form: with r = 10^(snr/10), t solves t^2 = r^2 (t + b_total).
     """
+    if not np.isfinite(target_snr_db):
+        raise ValueError("target SNR must be finite")
     n0 = float(np.sum(x_ref))
     if n0 <= 0:
         raise ValueError("reference image must have positive total flux")
@@ -173,11 +175,16 @@ def relative_error(x, x_star):
     return float(np.linalg.norm(x - x_star)) / denom
 
 
-def _gaussian_window(size=11, sigma=1.5):
-    u = np.arange(size) - size // 2
-    g = np.exp(-(u * u) / (2.0 * sigma * sigma))
-    w = np.outer(g, g)
-    return w / w.sum()
+def _convolve_valid(a, g):
+    """Valid-mode convolution with the symmetric g along axis 0; an a
+    shorter than g slides over g, as in scipy.signal's valid mode."""
+    n, k = a.shape[0], g.size
+    if n < k:
+        return sliding_window_view(g, n) @ a[::-1]
+    out = g[0] * a[:n - k + 1]
+    for i in range(1, k):
+        out += g[i] * a[i:i + n - k + 1]
+    return out
 
 
 def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
@@ -193,8 +200,11 @@ def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
     data_range = float(x_star.max() - x_star.min())
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
-    w = _gaussian_window(window_size, sigma)
-    filt = lambda img: fftconvolve(img, w, mode="valid")
+    u = np.arange(window_size) - window_size // 2
+    g = np.exp(-(u * u) / (2.0 * sigma * sigma))
+    g /= g.sum()
+    # The unit-sum window outer(g, g) is separable: one axis at a time.
+    filt = lambda img: _convolve_valid(_convolve_valid(img, g).T, g).T
     mu1 = filt(x)
     mu2 = filt(x_star)
     var1 = filt(x * x) - mu1 * mu1

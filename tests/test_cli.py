@@ -175,6 +175,17 @@ def test_invalid_configs_rejected(tmp_path):
                         ("--max-time", "nan"), ("--theta", "2"),
                         ("--gamma", "-1"), ("--size", "16")):
         assert run("solve", *BASE, flag, value, "--out", out) == 2, flag
+    # Settings the PSF, the observation or the solver configuration
+    # reject, which used to end in a traceback.
+    for flags in (("--sigma", "-1"), ("--psf-size", "4"),
+                  ("--len", "0", "--blur", "motion"),
+                  ("--radius", "-2", "--blur", "disk"),
+                  ("--snr", "nan"), ("--snr", "inf"),
+                  ("--background", "-1"), ("--background", "0"),
+                  ("--background", "nan"), ("--seed", "-1")):
+        assert run("solve", *BASE, *flags, "--out", out) == 2, flags
+    cfg.write_text(json.dumps({"memory": 0}))
+    assert run("solve", *BASE, "--config", str(cfg), "--out", out) == 2
     assert not os.path.exists(out)
 
 

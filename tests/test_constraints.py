@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from poissontv.constraints import DiagonalMetric, FeasibleSet
+from poissontv.constraints import DiagonalMetric, FeasibleSet, _project_flux
 
 
 def oracle_project(v, d, c):
@@ -56,6 +57,46 @@ def oracle_tangent(w, active, flux):
         if cost < best_cost - 1e-15:
             best, best_cost = v, cost
     return best
+
+
+def oracle_kkt(v, d, c):
+    """Brute-force projection onto {x >= 0, sum x = c} in the metric with
+    weights 1/d_i, chosen by the KKT sign conditions: enumerate the sets
+    of entries held at zero and return the x that is nonnegative on the
+    rest and whose held entries would go negative if released.  Unlike
+    the cost comparison in oracle_project, the sign test still resolves
+    entries of size 1e-12 when d spans 1e-10 .. 1e4."""
+    slack = 1e-14 * max(1.0, np.abs(v).max(), c)
+    for pattern in itertools.product((False, True), repeat=len(v)):
+        zero = np.array(pattern)
+        if zero.all():
+            continue
+        tau = (v[~zero].sum() - c) / d[~zero].sum()
+        x = v - tau * d
+        if np.all(x[~zero] >= -slack) and np.all(x[zero] <= slack):
+            return np.where(zero, 0.0, np.maximum(x, 0.0))
+    raise AssertionError("no pattern meets the KKT conditions")
+
+
+def sort_scan_project(v, d, c, bounded=None):
+    """Large-n reference for the flux kernel: the sort and suffix-sum scan
+    over the breakpoints v_i / d_i (+inf on unbounded entries) that the
+    S2 projections used before the median split.  The scan picks the
+    entries positive at the root; tau is then summed over them exactly,
+    since a sequential cumsum drifts by about 1e-12 relative on 256^2
+    inputs."""
+    vr, dr = v.ravel(), d.ravel()
+    t = vr / dr if bounded is None else np.where(bounded.ravel(), vr / dr,
+                                                 np.inf)
+    order = np.argsort(t)
+    suff_v = np.cumsum(vr[order][::-1])[::-1]
+    suff_d = np.cumsum(dr[order][::-1])[::-1]
+    j = np.nonzero((suff_v - c) / suff_d <= t[order])[0][0]
+    positive = order[j:]
+    tau = (math.fsum(vr[positive]) - c) / math.fsum(dr[positive])
+    x = v - tau * d
+    return np.maximum(x, 0.0, out=x,
+                      where=True if bounded is None else bounded)
 
 
 # ----------------------------------------------------------- membership
@@ -250,3 +291,128 @@ def test_stationarity_at_qp_oracle_solution():
     s2 = FeasibleSet.nonneg_flux(c)
     assert np.linalg.norm(s2.projected_gradient(best, grad)) <= 1e-9
     assert s2.is_stationary(best, grad, 1e-8)
+
+
+# ------------------------------------------------------- flux kernel
+
+
+def assert_close(out, ref, scale, tol=1e-12):
+    assert np.max(np.abs(out - ref)) <= tol * max(1.0, scale)
+
+
+@st.composite
+def mostly_active_tangent(draw):
+    """A feasible S2 point with few free coordinates and a gradient that
+    points outward on the active ones: many pins for an active-set loop."""
+    n = draw(st.integers(2, 8))
+    n_free = draw(st.integers(1, max(1, n // 3)))
+    order = draw(st.permutations(range(n)))
+    free = np.zeros(n, dtype=bool)
+    free[list(order[:n_free])] = True
+    w = draw(hnp.arrays(np.float64, n, elements=st.floats(-5, 5)))
+    w = np.where(free, w, -np.abs(w) - 1e-3)
+    x = np.where(free, draw(st.floats(0.1, 3)), 0.0)
+    return x, -w
+
+
+@settings(max_examples=200, deadline=None)
+@given(mostly_active_tangent())
+def test_tangent_kernel_matches_oracle_with_many_outward_pins(case):
+    x, grad = case
+    s2 = FeasibleSet.nonneg_flux(float(x.sum()))
+    out = s2.projected_gradient(x, grad)
+    assert_close(out, oracle_tangent(-grad, x == 0, True), np.abs(grad).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=st.floats(-5, 5)),
+    hnp.arrays(np.float64, n, elements=st.floats(-10, 4)),
+    st.floats(1e-3, 10))))
+def test_weighted_kernel_matches_oracle_over_the_scaling_range(case):
+    # SGP's scaling floor lets the metric span 1e-10 .. 1e4.
+    v, log_d, c = case
+    d = 10.0 ** log_d
+    out = FeasibleSet.nonneg_flux(c).project_weighted(
+        DiagonalMetric(d, 1e-10, 1e4), v)
+    assert_close(out, oracle_kkt(v, d, c), max(np.abs(v).max(), c))
+
+
+def test_kernel_with_a_single_free_coordinate():
+    x = np.array([0.0, 0.0, 0.0, 2.0])
+    for grad in (np.array([1.0, 2.0, 3.0, -1.0]),
+                 np.array([-1.0, 0.5, 2.0, 4.0])):
+        out = FeasibleSet.nonneg_flux(2.0).projected_gradient(x, grad)
+        assert_close(out, oracle_tangent(-grad, x == 0, True), 4.0)
+        assert abs(out.sum()) <= 1e-15
+
+
+def test_kernel_with_tied_breakpoints():
+    # Equal v: the median split meets only ties.
+    s2 = FeasibleSet.nonneg_flux(2.0)
+    assert np.array_equal(s2.project(np.ones(4)), np.full(4, 0.5))
+    # Equal v_i / d_i under different weights: x = v - 0.5 d.
+    v = np.array([1.0, 2.0, 4.0])
+    metric = DiagonalMetric(v.copy(), 1.0, 4.0)
+    out = FeasibleSet.nonneg_flux(3.5).project_weighted(metric, v)
+    assert_close(out, np.array([0.5, 1.0, 2.0]), 4.0, tol=1e-15)
+    # Tied outward pins around one free coordinate.
+    x = np.array([0.0, 0.0, 0.0, 1.0])
+    grad = np.array([1.0, 1.0, 1.0, -3.0])
+    out = FeasibleSet.nonneg_flux(1.0).projected_gradient(x, grad)
+    assert_close(out, oracle_tangent(-grad, x == 0, True), 3.0)
+
+
+def test_kernel_with_flux_near_zero():
+    rng = np.random.default_rng(5)
+    for c in (1e-12, 1e-9):
+        v = rng.standard_normal(7)
+        d = rng.uniform(0.5, 2.0, 7)
+        out = FeasibleSet.nonneg_flux(c).project_weighted(
+            DiagonalMetric(d, 0.5, 2.0), v)
+        assert out.min() >= 0 and abs(out.sum() - c) <= 1e-15
+        assert_close(out, oracle_project(v, d, c), np.abs(v).max())
+    # A flux below the rounding of sum v, with every breakpoint tied: the
+    # unclipped root rounds above them all.
+    out = FeasibleSet.nonneg_flux(1e-17).project(np.full(3, 0.1))
+    assert out.min() >= 0 and abs(out.sum() - 1e-17) <= 1e-16
+
+
+def large_inputs():
+    """256^2 inputs like those of S2 restorations: a half-active
+    iterate, its gradient, an SGP trial point and a metric over SGP's
+    scaling range."""
+    rng = np.random.default_rng(6)
+    shape = (256, 256)
+    x = np.maximum(rng.standard_normal(shape), 0.0)
+    grad = rng.standard_normal(shape)
+    d = 10.0 ** rng.uniform(-10, 4, shape)
+    return x, grad, x - 0.1 * grad, d
+
+
+def test_kernel_matches_sort_scan_on_large_inputs():
+    x, grad, v, d = large_inputs()
+    s2 = FeasibleSet.nonneg_flux(float(x.sum()))
+    for out, ref in (
+            (s2.project(v), sort_scan_project(v, np.ones_like(v), s2.flux)),
+            (s2.project_weighted(DiagonalMetric(d, 1e-10, 1e4), v),
+             sort_scan_project(v, d, s2.flux)),
+            (s2.projected_gradient(x, grad),
+             sort_scan_project(-grad, np.ones_like(x), 0.0, x == 0))):
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_kernel_pass_count_is_logarithmic(monkeypatch):
+    x, grad, v, d = large_inputs()
+    passes = []
+    argpartition = np.argpartition
+    monkeypatch.setattr(np, "argpartition",
+                        lambda a, k: passes.append(a.size) or argpartition(a, k))
+    bound = math.floor(math.log2(v.size)) + 1
+    for args in ((v, np.ones_like(v), 1.0), (v, d, 1.0),
+                 (-grad, np.ones_like(x), 0.0, x == 0)):
+        passes.clear()
+        _project_flux(*args)
+        assert 0 < len(passes) <= bound
+        # Each pass keeps at most half of the breakpoints it split.
+        assert all(b <= a // 2 for a, b in zip(passes, passes[1:]))

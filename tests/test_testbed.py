@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +83,12 @@ def test_snr_scale_factor_closed_form_no_background():
     # b_total = 0: t = r^2, i.e. 1e8 counts at 40 dB and 1e7 at 35 dB.
     assert snr_scale_factor(x, 0.0, 40.0) * x.sum() == pytest.approx(1e8)
     assert snr_scale_factor(x, 0.0, 35.0) * x.sum() == pytest.approx(1e7)
+
+
+def test_snr_scale_factor_rejects_nonfinite_target():
+    for snr in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            snr_scale_factor(np.ones((4, 4)), 0.0, snr)
 
 
 def test_snr_scale_factor_plugs_back():
@@ -229,6 +238,45 @@ def test_mssim_single_window_scalar_oracle():
     assert mssim(x, y) == pytest.approx(expected, rel=1e-10)
 
 
+def test_mssim_matches_direct_convolution_on_small_images():
+    # Images smaller than the 11x11 window slide over it, as in the valid
+    # mode of scipy.signal that MSSIM once used.
+    def valid(a, w):
+        if a.shape[0] < w.shape[0]:
+            a, w = w, a
+        m = a.shape[0] - w.shape[0] + 1
+        return np.array([[np.sum(a[p:p + w.shape[0], q:q + w.shape[1]]
+                                 * w[::-1, ::-1]) for q in range(m)]
+                         for p in range(m)])
+
+    u = np.arange(11) - 5
+    g = np.exp(-(u * u) / (2 * 1.5**2))
+    w = np.outer(g, g) / np.outer(g, g).sum()
+    rng = np.random.default_rng(14)
+    for n in (8, 20):
+        x, y = rng.random((n, n)), rng.random((n, n))
+        mu1, mu2 = valid(x, w), valid(y, w)
+        var1 = valid(x * x, w) - mu1**2
+        var2 = valid(y * y, w) - mu2**2
+        cov = valid(x * y, w) - mu1 * mu2
+        c1, c2 = (0.01 * np.ptp(y)) ** 2, (0.03 * np.ptp(y)) ** 2
+        expected = np.mean((2 * mu1 * mu2 + c1) * (2 * cov + c2)
+                           / ((mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)))
+        assert mssim(x, y) == pytest.approx(expected, rel=1e-12)
+
+
 def test_mssim_dimension_guard():
     with pytest.raises(ValueError):
         mssim(np.zeros((12, 12)), np.zeros((11, 11)))
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # MSSIM filters with numpy; scipy.signal alone doubles the resident
+    # size of a CLI process (about 54 to 103 MB).
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    code = ("import sys, poissontv, poissontv.cli, poissontv.testbed; "
+            "print('scipy.signal' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.check_output([sys.executable, "-c", code], env=env)
+    assert out.decode().strip() == "False"
