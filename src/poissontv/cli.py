@@ -100,11 +100,27 @@ def load_config(args):
     return cfg
 
 
+def _check_types(cfg):
+    """Each field has the JSON type of its default, tol that of a number
+    or a list of numbers; a config file can hold any value."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    for key, default in DEFAULTS.items():
+        value = cfg[key]
+        if isinstance(default, (bool, str)):
+            ok = type(value) is type(default)
+        elif isinstance(default, list) and isinstance(value, list):
+            ok = all(map(number, value))
+        else:
+            ok = number(value)
+        if not ok:
+            raise ConfigError(f"field '{key}': {value!r} has the wrong type")
+
+
 def validate_config(cfg):
+    _check_types(cfg)
     tol = cfg["tol"]
-    if isinstance(tol, (int, float)):
-        cfg["tol"] = tol = [float(tol)]
-    tol = [float(t) for t in tol]
+    tol = [float(t) for t in (tol if isinstance(tol, list) else [tol])]
     if not tol:
         raise ConfigError("field 'tol': list must be nonempty")
     if not all(0 < t < math.inf for t in tol):

@@ -63,7 +63,8 @@ class FeasibleSet:
         v = np.asarray(v, dtype=np.float64)
         if self.flux is None:
             return np.maximum(v, 0.0)
-        return _project_flux(v, np.ones_like(v), self.flux)
+        # Unit weights as a zero-stride view: no image-sized array.
+        return _project_flux(v, np.broadcast_to(1.0, v.shape), self.flux)
 
     def project_weighted(self, metric, v):
         """Projection in the norm with weights 1/d_i (metric C^-1).
@@ -87,7 +88,7 @@ class FeasibleSet:
         active = x == 0
         if self.flux is None:
             return np.maximum(w, 0.0, out=w, where=active)
-        return _project_flux(w, np.ones_like(w), 0.0, active)
+        return _project_flux(w, np.broadcast_to(1.0, w.shape), 0.0, active)
 
     def is_stationary(self, x, grad, tol):
         return float(np.linalg.norm(self.projected_gradient(x, grad))) <= tol
@@ -99,24 +100,37 @@ def _project_flux(v, d, c, bounded=None):
 
     The solution is x = v - tau*d, clipped at 0 on bounded entries, with
     tau the root of the decreasing piecewise-linear map tau -> sum x - c.
-    A median split over its breakpoints v_i / d_i (Kiwiel, JOTA 2008)
-    finds the root exactly in at most floor(log2 n) + 1 passes, O(n) work
-    in all, with no sort.
+    Each round works on the candidates, the bounded entries not yet known
+    to be zero or positive at the root.  A Michelot step (JOTA 1986)
+    solves the sum with no candidate clipped.  Clipping only raises the
+    sum, so that tau is at or below the root, and candidates breaking at
+    or below it end at zero.  If none breaks there, tau is the root.  If
+    the step drops fewer than half of the candidates, a median split over
+    the breakpoints v_i / d_i of the rest (Kiwiel, JOTA 2008) follows.
+    Every round thus at least halves the candidates and partitions at
+    most once: at most floor(log2 n) + 1 rounds, O(n) work in all, with
+    no sort.
     """
-    vr, dr = v.ravel(), d.ravel()
-    t = vr / dr
-    # Clipping only raises sum x, so the root is at or above the unclipped
-    # one, tau0, and entries breaking below tau0 end at zero.  The min
-    # keeps the top breakpoint should rounding lift tau0 above it.
-    keep = t >= min((vr.sum() - c) / dr.sum(), t.max())
+    vr, dr = v.reshape(-1), d.reshape(-1)
     s_v = s_d = 0.0             # sums over entries positive at the root
     if bounded is not None:     # unbounded entries are never clipped
-        free = np.flatnonzero(~bounded.ravel())
+        b = bounded.reshape(-1)
+        free = ~b
         s_v, s_d = vr[free].sum(), dr[free].sum()
-        keep &= bounded.ravel()
-    keep = np.flatnonzero(keep)
-    while keep.size:
-        t, vr, dr = t[keep], vr[keep], dr[keep]
+        vr, dr = vr[b], dr[b]
+    t = vr / dr
+    while t.size:
+        n = t.size
+        sum_v, sum_d = s_v + vr.sum(), s_d + dr.sum()
+        up = t > (sum_v - c) / sum_d
+        n_up = np.count_nonzero(up)
+        if n_up == n:           # no candidate clips: the Michelot root
+            s_v, s_d = sum_v, sum_d
+            break
+        if n_up:                # the rest end at zero
+            t, vr, dr = t[up], vr[up], dr[up]
+            if 2 * n_up <= n:
+                continue
         k = t.size // 2
         idx = np.argpartition(t, k)
         m = t[idx[k]]
@@ -128,6 +142,7 @@ def _project_flux(v, d, c, bounded=None):
             s_v += hi_v + vr[idx[k]]
             s_d += hi_d + dr[idx[k]]
             keep = idx[:k]
+        t, vr, dr = t[keep], vr[keep], dr[keep]
     x = d * ((c - s_v) / s_d)
     x += v
     return np.maximum(x, 0.0, out=x,

@@ -230,7 +230,8 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
         state.record(z, g)
         direction *= rho
         z_new = np.add(z, direction, out=direction)
-        rel_change = relative_change(z_new, z)
+        if stop is not None or monitor is not None:
+            rel_change = relative_change(z_new, z)
         z = z_new
         f_z = f_new
         if hessian_vec is not None:

@@ -182,37 +182,54 @@ def _convolve_valid(a, g):
     if n < k:
         return sliding_window_view(g, n) @ a[::-1]
     out = g[0] * a[:n - k + 1]
+    # One scratch for every tap, in out's memory layout (a C-order one
+    # is slower on the transposed pass).
+    tap = np.empty_like(out)
     for i in range(1, k):
-        out += g[i] * a[i:i + n - k + 1]
+        out += np.multiply(g[i], a[i:i + n - k + 1], out=tap)
     return out
 
 
-def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
-    """Mean structural similarity with a Gaussian-weighted local window.
+class MssimReference:
+    """Mean structural similarity against a fixed reference image.
 
-    The dynamic range is taken from the reference image; local statistics
-    are computed on the valid (fully overlapping) window positions.
+    Holds the reference's window means and variances, so that scoring an
+    image filters three images instead of five; `MssimReference(x_star)(x)`
+    equals `mssim(x, x_star)` bit for bit.  The dynamic range is taken
+    from the reference image; local statistics are computed on the valid
+    (fully overlapping) window positions.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_star = np.asarray(x_star, dtype=np.float64)
-    if x.shape != x_star.shape:
-        raise ValueError("image dimensions do not match")
-    data_range = float(x_star.max() - x_star.min())
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
-    u = np.arange(window_size) - window_size // 2
-    g = np.exp(-(u * u) / (2.0 * sigma * sigma))
-    g /= g.sum()
-    # The unit-sum window outer(g, g) is separable: one axis at a time.
-    filt = lambda img: _convolve_valid(_convolve_valid(img, g).T, g).T
-    mu1 = filt(x)
-    mu2 = filt(x_star)
-    var1 = filt(x * x) - mu1 * mu1
-    var2 = filt(x_star * x_star) - mu2 * mu2
-    cov = filt(x * x_star) - mu1 * mu2
-    num = (2 * mu1 * mu2 + c1) * (2 * cov + c2)
-    den = (mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)
-    return float(np.mean(num / den))
+
+    def __init__(self, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
+        self.x_star = np.asarray(x_star, dtype=np.float64)
+        data_range = float(self.x_star.max() - self.x_star.min())
+        self.c1 = (k1 * data_range) ** 2
+        self.c2 = (k2 * data_range) ** 2
+        u = np.arange(window_size) - window_size // 2
+        g = np.exp(-(u * u) / (2.0 * sigma * sigma))
+        self.g = g / g.sum()
+        self.mu2 = self._filter(self.x_star)
+        self.var2 = self._filter(self.x_star * self.x_star) - self.mu2 * self.mu2
+
+    def _filter(self, img):
+        # The unit-sum window outer(g, g) is separable: one axis at a time.
+        return _convolve_valid(_convolve_valid(img, self.g).T, self.g).T
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.x_star.shape:
+            raise ValueError("image dimensions do not match")
+        mu1, mu2 = self._filter(x), self.mu2
+        var1 = self._filter(x * x) - mu1 * mu1
+        cov = self._filter(x * self.x_star) - mu1 * mu2
+        num = (2 * mu1 * mu2 + self.c1) * (2 * cov + self.c2)
+        den = (mu1 * mu1 + mu2 * mu2 + self.c1) * (var1 + self.var2 + self.c2)
+        return float(np.mean(num / den))
+
+
+def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
+    """Mean structural similarity of x against x_star (see MssimReference)."""
+    return MssimReference(x_star, window_size, sigma, k1, k2)(x)
 
 
 def save_problem(problem, directory, extra_meta=None):

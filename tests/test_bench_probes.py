@@ -45,3 +45,29 @@ def test_layer_timings_import_and_call_patterns():
     SteplengthState()
     # The tracer reads the inner stop target from this keyword.
     assert "stop_norm_target" in inspect.signature(sgp_solve).parameters
+
+
+def test_mssim_is_timed_once_per_recorded_iterate(monkeypatch):
+    # The tracer times per-iterate MSSIM through `poissontv.solver._mssim`.
+    import numpy as np
+    from poissontv import solver
+    from poissontv.blur import gaussian_psf
+    from poissontv.constraints import FeasibleSet
+    from poissontv.testbed import make_problem, shepp_logan
+
+    problem = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)
+    calls = []
+    mssim = solver._mssim
+    monkeypatch.setattr(solver, "_mssim",
+                        lambda *args: calls.append(1) or mssim(*args))
+    for run in (solver.acquire_solve, solver.sgp_restore):
+        for track in (True, False):
+            calls.clear()
+            config = solver.AcquireConfig(lam=6e-3, tol=0.0,
+                                          max_outer_iters=4,
+                                          track_mssim=track)
+            _, trace = run(problem.data(), FeasibleSet.nonneg(),
+                           problem.observed, config,
+                           ground_truth=problem.ground_truth)
+            assert len(calls) == (len(trace.iters) if track else 0)
+            assert np.isnan(trace.mssim).all() != track

@@ -186,6 +186,13 @@ def test_invalid_configs_rejected(tmp_path):
         assert run("solve", *BASE, *flags, "--out", out) == 2, flags
     cfg.write_text(json.dumps({"memory": 0}))
     assert run("solve", *BASE, "--config", str(cfg), "--out", out) == 2
+    # Config-file values of the wrong type, which used to end in a
+    # traceback.
+    for user in ({"tol": "abc"}, {"tol": [0.001, "x"]}, {"tol": None},
+                 {"max_time": "abc"}, {"lambda": "abc"}):
+        cfg.write_text(json.dumps(user))
+        assert run("solve", "--size", "32", "--config", str(cfg),
+                   "--out", out) == 2, user
     assert not os.path.exists(out)
 
 

@@ -416,3 +416,54 @@ def test_kernel_pass_count_is_logarithmic(monkeypatch):
         assert 0 < len(passes) <= bound
         # Each pass keeps at most half of the breakpoints it split.
         assert all(b <= a // 2 for a, b in zip(passes, passes[1:]))
+
+
+def count_partitions(monkeypatch):
+    """Record the size of every argpartition the kernel makes."""
+    passes = []
+    argpartition = np.argpartition
+    monkeypatch.setattr(np, "argpartition",
+                        lambda a, k: passes.append(a.size) or argpartition(a, k))
+    return passes
+
+
+def test_kernel_unclipped_root_needs_no_partition(monkeypatch):
+    # Every entry stays positive at the unclipped root: one Michelot step.
+    rng = np.random.default_rng(7)
+    passes = count_partitions(monkeypatch)
+    for n in (1, 2, 5, 8):
+        v = rng.uniform(1.0, 2.0, n)
+        d = rng.uniform(0.5, 2.0, n)
+        c = float(v.sum()) - 0.5
+        out = _project_flux(v, d, c)
+        assert out.min() > 0
+        assert_close(out, oracle_project(v, d, c), 2.0)
+    assert passes == []
+
+
+def test_kernel_michelot_and_split_rounds_match_sort_scan(monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 4096
+    # Two thirds of the breakpoints far below the rest, and a flux that
+    # keeps the rest positive: the first Michelot step drops the low
+    # ones, the second finds the root, and no split is made.
+    high = np.arange(n) < n // 3
+    mostly_low = np.where(high, rng.uniform(5.0, 10.0, n),
+                          rng.uniform(-2000.0, -1900.0, n))
+    # Breakpoints spread evenly over [0, 1] and a small flux: the first
+    # Michelot tau sits near their middle, so the step drops at most
+    # about half of them and a median split follows.
+    spread = rng.uniform(0.0, 1.0, n)
+    d = 10.0 ** rng.uniform(-2, 2, n)
+    passes = count_partitions(monkeypatch)
+    for v, weights, splits in ((mostly_low, np.ones(n), False),
+                               (mostly_low * d, d, False),
+                               (spread, np.ones(n), True),
+                               (spread * d, d, True)):
+        c = 0.9 * v[high].sum() if not splits else 1.0
+        passes.clear()
+        out = _project_flux(v, weights, c)
+        ref = sort_scan_project(v, weights, c)
+        assert (out == 0).any()
+        assert bool(passes) == splits
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -9,10 +9,11 @@ import pytest
 from poissontv.blur import gaussian_psf
 from poissontv.constraints import FeasibleSet
 from poissontv.solver import acquire_solve, AcquireConfig
-from poissontv.testbed import (load_problem, make_problem, measured_snr,
-                               mssim, poisson_sample, relative_error,
-                               render_ellipses, save_problem, shepp_logan,
-                               shepp_logan_ellipses, snr_scale_factor)
+from poissontv.testbed import (MssimReference, load_problem, make_problem,
+                               measured_snr, mssim, poisson_sample,
+                               relative_error, render_ellipses, save_problem,
+                               shepp_logan, shepp_logan_ellipses,
+                               snr_scale_factor)
 
 
 # -------------------------------------------------------------- phantom
@@ -263,6 +264,21 @@ def test_mssim_matches_direct_convolution_on_small_images():
         expected = np.mean((2 * mu1 * mu2 + c1) * (2 * cov + c2)
                            / ((mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)))
         assert mssim(x, y) == pytest.approx(expected, rel=1e-12)
+
+
+def test_mssim_reference_scores_like_mssim():
+    # One reference scores many images; each score is the bits mssim gives.
+    rng = np.random.default_rng(15)
+    truth = shepp_logan(256)
+    reference = MssimReference(truth)
+    for _ in range(3):
+        x = np.maximum(truth + 0.05 * rng.standard_normal(truth.shape), 0.0)
+        assert reference(x) == mssim(x, truth)
+    truth = rng.random((8, 8))          # smaller than the window: it slides
+    reference = MssimReference(truth)
+    for _ in range(3):
+        x = rng.random((8, 8))
+        assert reference(x) == mssim(x, truth)
 
 
 def test_mssim_dimension_guard():
