@@ -132,6 +132,10 @@ def validate_config(cfg):
     # itself reads an infinite budget as none.
     if not math.isfinite(cfg["max_time"]):
         raise ConfigError("field 'max_time': must be finite")
+    # int() takes no NaN or infinity.
+    for key, default in DEFAULTS.items():
+        if type(default) is int and not math.isfinite(cfg[key]):
+            raise ConfigError(f"field '{key}': must be finite")
     if cfg["problem"] == "phantom" and int(cfg["size"]) < PHANTOM_MIN_SIZE:
         raise ConfigError(
             f"field 'size': phantom size must be at least {PHANTOM_MIN_SIZE}")
@@ -354,7 +358,8 @@ def sweep_rows(method, cfg, problem, tols):
     rows = []
     label = problem_label(cfg)
     for tol in tols:
-        k, x_tol = snapshots[tol]
+        # Popped: whoever keeps the hook must not keep the images too.
+        k, x_tol = snapshots.pop(tol)
         errs = trace.rel_error[:k]
         idx = int(np.argmin(errs))
         rows.append({

@@ -8,6 +8,8 @@ direction.
 """
 
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 import csv
@@ -171,30 +173,55 @@ def _rel_error(x, ground_truth):
             else relative_error(x, ground_truth))
 
 
-def _mssim(reference, x):
-    """MSSIM of an iterate against the truth `reference` was built from;
-    a function of its own so that the benchmark's tracer can time it."""
-    return reference(x)
+def _mssim(score):
+    """Wait for one iterate's MSSIM, scored on the solve's worker thread.
+
+    A function of its own so that the benchmark's tracer can time the
+    wait; it runs on the calling thread, once per recorded iterate.
+    """
+    return score.result()
 
 
+@contextmanager
 def _recorder(config, ground_truth, on_iterate, start):
     """A solve's trace and the one function both solvers record an
     iterate with: it adds the error, MSSIM and time since `start`, then
-    calls `on_iterate(k, x, rel_change)`."""
+    calls `on_iterate(k, x, rel_change)`.
+
+    MSSIM is scored on one worker thread that the solve owns, while the
+    solver goes on: recording an iterate first waits for the previous
+    iterate's score, so at most one is in flight, and the last one is
+    waited for on leaving the block.  The worker reads x after `record`
+    returns, so no one may write into a recorded iterate.
+    """
     trace = SolverTrace()
     # The truth's side of MSSIM is filtered once per solve.
     reference = (MssimReference(ground_truth)
                  if config.track_mssim and ground_truth is not None else None)
+    pool = None if reference is None else ThreadPoolExecutor(1)
+    scoring = []                # the last row's MSSIM, while in flight
+
+    def settle():
+        if scoring:
+            trace.mssim[-1] = _mssim(scoring.pop())
 
     def record(k, x, objective, rel_change, pg_norm, **row):
+        rel_error = _rel_error(x, ground_truth)
+        settle()
         trace.append(iters=k, objective=objective, rel_change=rel_change,
-                     pg_norm=pg_norm, rel_error=_rel_error(x, ground_truth),
-                     mssim=float("nan") if reference is None
-                     else _mssim(reference, x),
+                     pg_norm=pg_norm, rel_error=rel_error,
+                     mssim=float("nan"),
                      time_s=time.perf_counter() - start, **row)
+        if pool is not None:
+            scoring.append(pool.submit(reference, x))
         if on_iterate is not None:
             on_iterate(k, x, rel_change)
-    return trace, record
+    try:
+        yield trace, record
+        settle()
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
@@ -203,7 +230,9 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
 
     x0 is projected onto the feasible set before use.  Stops on relative
     iterate change <= config.tol, the outer iteration cap, or the
-    wall-clock budget.
+    wall-clock budget.  `on_iterate(k, x, rel_change)` sees each iterate
+    and must not write into x: with `config.track_mssim`, a worker thread
+    may still be scoring it.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
@@ -216,7 +245,6 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     f_hist = deque([f_x], maxlen=memory)
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
-    trace, record = _recorder(config, ground_truth, on_iterate, start)
     stop = stop_rule("acquire", config.tol)
     # Reference norm for the inner stopping rule, fixed once per run.  At
     # the first iteration the model gradient at the start equals the true
@@ -224,45 +252,48 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     # keeping it fixed makes the threshold sequence exactly geometric.
     ref_norm = float(np.linalg.norm(feasible_set.projected_gradient(
         x, objective.gradient(x))))
-    for k in range(1, config.max_outer_iters + 1):
-        model = OuterModel(data, x, config.lam, config.mu, config.gamma,
-                           objective.blurred(x))
-        target = config.theta**k * ref_norm
-        x_hat, inner = sgp_solve(model, feasible_set, x, state, config.sgp,
-                                 max_iters=inner_cap, stop_norm_target=target)
-        d = x_hat - x
-        # The inner solve starts at x, where the model gradient equals
-        # the true one.
-        slope = _dot(inner.start_gradient, d)
-        f_ref = max(f_hist)
-        alpha = 1.0
-        trial = objective.line(x, d)
-        f_trial = trial(alpha)
-        backtracks = 0
-        while f_trial > f_ref + config.eta * alpha * slope:
-            backtracks += 1
-            if backtracks > config.max_line_search:
-                raise RuntimeError(
-                    f"outer line search at iteration {k}: no Armijo step "
-                    f"within {config.max_line_search} backtracks (f_ref "
-                    f"{f_ref:.17g}, slope {slope:.6g}, last alpha "
-                    f"{alpha:.6g})")
-            alpha *= config.delta
+    recording = _recorder(config, ground_truth, on_iterate, start)
+    with recording as (trace, record):
+        for k in range(1, config.max_outer_iters + 1):
+            model = OuterModel(data, x, config.lam, config.mu, config.gamma,
+                               objective.blurred(x))
+            target = config.theta**k * ref_norm
+            x_hat, inner = sgp_solve(model, feasible_set, x, state,
+                                     config.sgp, max_iters=inner_cap,
+                                     stop_norm_target=target)
+            d = x_hat - x
+            # The inner solve starts at x, where the model gradient equals
+            # the true one.
+            slope = _dot(inner.start_gradient, d)
+            f_ref = max(f_hist)
+            alpha = 1.0
+            trial = objective.line(x, d)
             f_trial = trial(alpha)
-        x_new = x + alpha * d
-        rel_change = relative_change(x_new, x)
-        x = x_new
-        f_x = f_trial
-        f_hist.append(f_x)
-        record(k, x, f_x, rel_change, inner.final_pg_norm, alpha=alpha,
-               inner_iters=inner.iterations, inner_target=target,
-               inner_ref_norm=ref_norm,
-               inner_cap_hit=inner.iterations >= inner_cap
-               and inner.final_pg_norm > target)
-        if stop(rel_change):
-            break
-        if time.perf_counter() - start >= config.max_time:
-            break
+            backtracks = 0
+            while f_trial > f_ref + config.eta * alpha * slope:
+                backtracks += 1
+                if backtracks > config.max_line_search:
+                    raise RuntimeError(
+                        f"outer line search at iteration {k}: no Armijo "
+                        f"step within {config.max_line_search} backtracks "
+                        f"(f_ref {f_ref:.17g}, slope {slope:.6g}, last "
+                        f"alpha {alpha:.6g})")
+                alpha *= config.delta
+                f_trial = trial(alpha)
+            x_new = x + alpha * d
+            rel_change = relative_change(x_new, x)
+            x = x_new
+            f_x = f_trial
+            f_hist.append(f_x)
+            record(k, x, f_x, rel_change, inner.final_pg_norm, alpha=alpha,
+                   inner_iters=inner.iterations, inner_target=target,
+                   inner_ref_norm=ref_norm,
+                   inner_cap_hit=inner.iterations >= inner_cap
+                   and inner.final_pg_norm > target)
+            if stop(rel_change):
+                break
+            if time.perf_counter() - start >= config.max_time:
+                break
     return x, trace
 
 
@@ -314,14 +345,16 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
 
     Uses the same steplength/scaling machinery as the inner solver, with
     the iteration cap lifted and the SGP relative-change stop (see
-    `stop_rule`).
+    `stop_rule`).  `on_iterate` is called as in `acquire_solve`, and must
+    not write into x either.
     """
     start = time.perf_counter()
     x0 = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    trace, record = _recorder(config, ground_truth, on_iterate, start)
-    x, _ = sgp_solve(_SmoothObjective(data, config.lam, config.mu),
-                     feasible_set, x0, SteplengthState(), config.sgp,
-                     max_iters=config.max_outer_iters,
-                     stop=stop_rule("sgp", config.tol),
-                     max_time=config.max_time, monitor=record)
+    recording = _recorder(config, ground_truth, on_iterate, start)
+    with recording as (trace, record):
+        x, _ = sgp_solve(_SmoothObjective(data, config.lam, config.mu),
+                         feasible_set, x0, SteplengthState(), config.sgp,
+                         max_iters=config.max_outer_iters,
+                         stop=stop_rule("sgp", config.tol),
+                         max_time=config.max_time, monitor=record)
     return x, trace

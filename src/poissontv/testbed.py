@@ -219,12 +219,35 @@ class MssimReference:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.x_star.shape:
             raise ValueError("image dimensions do not match")
-        mu1, mu2 = self._filter(x), self.mu2
-        var1 = self._filter(x * x) - mu1 * mu1
-        cov = self._filter(x * self.x_star) - mu1 * mu2
-        num = (2 * mu1 * mu2 + self.c1) * (2 * cov + self.c2)
-        den = (mu1 * mu1 + mu2 * mu2 + self.c1) * (var1 + self.var2 + self.c2)
-        return float(np.mean(num / den))
+        mu2 = self.mu2
+        # The SSIM map
+        #   (2 mu1 mu2 + c1) (2 cov + c2)
+        #   / ((mu1^2 + mu2^2 + c1) (var1 + var2 + c2))
+        # is formed in place, each element by the same operations in the
+        # same order as the formula, so the score keeps its bits.  x's own
+        # window means are filtered last, once the product image is freed.
+        prod = x * x
+        var1 = self._filter(prod)
+        cov = self._filter(np.multiply(x, self.x_star, out=prod))
+        del prod
+        mu1 = self._filter(x)
+        den = mu1 * mu1
+        var1 -= den
+        den += mu2 * mu2
+        den += self.c1
+        var1 += self.var2
+        var1 += self.c2
+        den *= var1
+        cov -= np.multiply(mu1, mu2, out=var1)
+        cov *= 2
+        cov += self.c2
+        ssim = mu1
+        ssim *= 2
+        ssim *= mu2
+        ssim += self.c1
+        ssim *= cov
+        ssim /= den
+        return float(np.mean(ssim))
 
 
 def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from poissontv.cli import DEFAULTS, main, resolve_problem, starting_guess
+import poissontv.cli
+from poissontv.cli import (DEFAULTS, main, resolve_problem, starting_guess,
+                           sweep_rows)
 from poissontv.image import load_f64img
 from poissontv.testbed import load_problem
 
@@ -116,6 +119,27 @@ def test_sweep_rows_match_separate_solves(tmp_path, method):
             assert a.read() == b.read()
 
 
+def test_sweep_rows_leave_their_images_to_the_rows(monkeypatch):
+    # A caller may keep the solve's on_iterate hook (the benchmark's
+    # progress record does); the restored images must die with the rows.
+    hooks = []
+    solve = poissontv.cli.run_method
+
+    def run_method(*args, on_iterate=None, **kwargs):
+        hooks.append(on_iterate)
+        return solve(*args, on_iterate=on_iterate, **kwargs)
+    monkeypatch.setattr(poissontv.cli, "run_method", run_method)
+    cfg = dict(DEFAULTS, size=32, snr=30.0, seed=4, max_iters=40)
+    problem = resolve_problem(cfg)
+    # 1e-2 stops in the hook; 1e-9 only at the iteration cap.
+    rows = sweep_rows("acquire", cfg, problem, [1e-2, 1e-9])
+    assert [row["iters"] < 40 for row in rows] == [True, False]
+    images = [weakref.ref(row["_restored"]) for row in rows]
+    del rows
+    assert len(hooks) == 1
+    assert [image() is None for image in images] == [True, True]
+
+
 def test_report_shapes(tmp_path):
     out = str(tmp_path / "sweep")
     run("sweep", *BASE, "--method", "both", "--lambda", "6e-3",
@@ -186,6 +210,12 @@ def test_invalid_configs_rejected(tmp_path):
         assert run("solve", *BASE, *flags, "--out", out) == 2, flags
     cfg.write_text(json.dumps({"memory": 0}))
     assert run("solve", *BASE, "--config", str(cfg), "--out", out) == 2
+    # Non-finite integer fields, which int() used to turn into a
+    # traceback.  JSON has no NaN or Infinity; Python's parser takes both.
+    for text in ('{"size": NaN}', '{"size": Infinity}',
+                 '{"max_iters": Infinity}', '{"seed": -Infinity}'):
+        cfg.write_text(text)
+        assert run("solve", "--config", str(cfg), "--out", out) == 2, text
     # Config-file values of the wrong type, which used to end in a
     # traceback.
     for user in ({"tol": "abc"}, {"tol": [0.001, "x"]}, {"tol": None},

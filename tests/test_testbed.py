@@ -266,19 +266,34 @@ def test_mssim_matches_direct_convolution_on_small_images():
         assert mssim(x, y) == pytest.approx(expected, rel=1e-12)
 
 
+def ssim_formula(reference, x):
+    """The SSIM map's formula as written, from the reference's filter."""
+    mu1, mu2 = reference._filter(x), reference.mu2
+    var1 = reference._filter(x * x) - mu1 * mu1
+    cov = reference._filter(x * reference.x_star) - mu1 * mu2
+    num = (2 * mu1 * mu2 + reference.c1) * (2 * cov + reference.c2)
+    den = ((mu1 * mu1 + mu2 * mu2 + reference.c1)
+           * (var1 + reference.var2 + reference.c2))
+    return float(np.mean(num / den))
+
+
 def test_mssim_reference_scores_like_mssim():
-    # One reference scores many images; each score is the bits mssim gives.
+    # One reference scores many images; each score is the bits mssim
+    # gives, and the bits of the formula, though the map is formed in
+    # place.
     rng = np.random.default_rng(15)
     truth = shepp_logan(256)
     reference = MssimReference(truth)
     for _ in range(3):
         x = np.maximum(truth + 0.05 * rng.standard_normal(truth.shape), 0.0)
         assert reference(x) == mssim(x, truth)
+        assert np.array_equal(reference(x), ssim_formula(reference, x))
     truth = rng.random((8, 8))          # smaller than the window: it slides
     reference = MssimReference(truth)
     for _ in range(3):
         x = rng.random((8, 8))
         assert reference(x) == mssim(x, truth)
+        assert np.array_equal(reference(x), ssim_formula(reference, x))
 
 
 def test_mssim_dimension_guard():
