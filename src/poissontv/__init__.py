@@ -8,7 +8,7 @@ line-search solver (``acquire``) together with a test-problem generator
 and benchmark CLI.
 """
 
-from .image import from_vector, to_vector, scale_to_unit_max
+from .image import from_vector
 from .blur import Psf, BlurOperator, gaussian_psf, motion_psf, disk_psf
 from .kl import PoissonData, kl_value, kl_gradient, kl_hessian_vec, KlQuadraticModel
 from .tv import (
@@ -19,13 +19,11 @@ from .tv import (
     TvQuadraticModel,
 )
 from .constraints import FeasibleSet, DiagonalMetric
-from .sgp import SgpConfig, SteplengthState, sgp_solve
+from .sgp import SteplengthState, sgp_solve
 from .solver import AcquireConfig, SolverTrace, acquire_solve, sgp_restore
 
 __all__ = [
     "from_vector",
-    "to_vector",
-    "scale_to_unit_max",
     "Psf",
     "BlurOperator",
     "gaussian_psf",
@@ -43,7 +41,6 @@ __all__ = [
     "TvQuadraticModel",
     "FeasibleSet",
     "DiagonalMetric",
-    "SgpConfig",
     "SteplengthState",
     "sgp_solve",
     "AcquireConfig",

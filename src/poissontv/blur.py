@@ -51,8 +51,8 @@ def gaussian_psf(size, sigma):
     """Radially symmetric Gaussian kernel on an odd size x size support."""
     if size < 3 or size % 2 == 0:
         raise ValueError("size must be an odd integer >= 3")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
     c = size // 2
     u = np.arange(size, dtype=np.float64) - c
     k = np.exp(-(u[:, None] ** 2 + u[None, :] ** 2) / (2.0 * sigma**2))
@@ -66,8 +66,10 @@ def motion_psf(length, angle_deg, supersample=64):
     the given angle, and is sampled at `supersample` points per unit
     length (midpoint rule) before binning to the pixel grid.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    if not (np.isfinite(length) and length >= 1):
+        raise ValueError("length must be finite and >= 1")
+    if not np.isfinite(angle_deg):
+        raise ValueError("angle must be finite")
     if length == 1:
         return Psf(np.ones((1, 1)))
     theta = np.deg2rad(angle_deg)
@@ -92,8 +94,8 @@ def disk_psf(radius, supersample=33):
 
     Coverage is estimated on a supersample x supersample subpixel grid.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be positive and finite")
     m = int(np.ceil(radius + 0.5))
     size = 2 * m + 1
     sub = (np.arange(supersample) + 0.5) / supersample - 0.5

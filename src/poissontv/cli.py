@@ -45,18 +45,18 @@ DEFAULTS = {
     "background": 1e-10,        # per-pixel background counts
     "method": "acquire",        # acquire | sgp | both (sweep only)
     "lambda": 6e-3,
-    "mu": 1e-2,
-    "gamma": 1e-5,
-    "eta": 1e-5,
-    "delta": 0.5,
-    "memory": 5,
-    "theta": 0.1,
-    "inner_max_iters": 10,      # 0 = uncapped
+    "mu": AcquireConfig.mu,
+    "gamma": AcquireConfig.gamma,
+    "eta": AcquireConfig.eta,
+    "delta": AcquireConfig.delta,
+    "memory": AcquireConfig.memory,
+    "theta": AcquireConfig.theta,
+    "inner_max_iters": AcquireConfig.inner_max_iters,  # 0 = uncapped
     "constraint": "s1",         # s1 (nonneg) | s2 (nonneg + flux)
     "start": "auto",            # auto | observed | flat
     "tol": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
-    "max_time": 25.0,
-    "max_iters": 10000,
+    "max_time": AcquireConfig.max_time,
+    "max_iters": AcquireConfig.max_outer_iters,
     "monotone": False,
     "out": "results",
 }
@@ -244,19 +244,20 @@ def starting_guess(cfg, problem):
 
 
 def solver_config(cfg, tol, track_mssim=False):
+    # --monotone means memory 1; a memory below 1 is still rejected.
+    memory = int(cfg["memory"])
     return AcquireConfig(
         lam=cfg["lambda"],
         mu=cfg["mu"],
         gamma=cfg["gamma"],
         eta=cfg["eta"],
         delta=cfg["delta"],
-        memory=int(cfg["memory"]),
+        memory=min(memory, 1) if cfg["monotone"] else memory,
         theta=cfg["theta"],
         inner_max_iters=int(cfg["inner_max_iters"]),
         tol=tol,
         max_outer_iters=int(cfg["max_iters"]),
         max_time=cfg["max_time"],
-        monotone=bool(cfg["monotone"]),
         track_mssim=track_mssim,
     )
 

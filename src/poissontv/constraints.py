@@ -90,8 +90,9 @@ class FeasibleSet:
             return np.maximum(w, 0.0, out=w, where=active)
         return _project_flux(w, np.broadcast_to(1.0, w.shape), 0.0, active)
 
-    def is_stationary(self, x, grad, tol):
-        return float(np.linalg.norm(self.projected_gradient(x, grad))) <= tol
+    def pg_norm(self, x, grad):
+        """Euclidean norm of the projected gradient at feasible x."""
+        return float(np.linalg.norm(self.projected_gradient(x, grad)))
 
 
 def _project_flux(v, d, c, bounded=None):

@@ -14,29 +14,12 @@ import numpy as np
 F64IMG_MAGIC = b"F64IMG"
 
 
-def to_vector(image):
-    """Stack the columns of a 2D image into a 1D vector (Fortran order)."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2D image, got ndim={image.ndim}")
-    return image.ravel(order="F")
-
-
 def from_vector(v, r, s):
-    """Reshape a column-stacked vector back into an (r, s) image."""
+    """Reshape a column-stacked vector into an (r, s) image."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size != r * s:
         raise ValueError(f"vector of length {v.size} does not match {r}x{s}")
     return v.reshape((r, s), order="F")
-
-
-def scale_to_unit_max(image):
-    """Divide by the largest intensity; returns (scaled image, scale)."""
-    image = np.asarray(image, dtype=np.float64)
-    scale = float(image.max())
-    if scale <= 0.0:
-        raise ValueError("cannot scale an image with no positive intensity")
-    return image / scale, scale
 
 
 def save_f64img(path, image):

@@ -40,42 +40,39 @@ class RelChangeStop:
         return self.calm >= self.patience
 
 
-@dataclass
-class SgpConfig:
-    """Steplength, line-search and scaling parameters.
+# Armijo line search: sufficient-decrease fraction, backtrack factor and
+# the number of backtracks before the search gives up.
+BETA_LS = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 50
 
-    The diagonal scaling is the iterate itself, clamped into
-    [scale_min, scale_max].  The floor only has to keep the metric
-    positive at exact zeros, so it sits far below the values iterates
-    take (unit-max images hold pixels near 1e-5).  A floor above a pixel
-    turns the multiplicative step z (1 - nu g) into the additive
-    z - nu scale_min g, which a long steplength drives to zero; the
-    pixel then has to be regrown over many short steps, and the run
-    creeps.
-    """
+# The diagonal scaling is the iterate itself, clamped into
+# [SCALE_MIN, SCALE_MAX].  The floor only has to keep the metric positive
+# at exact zeros, so it sits far below the values iterates take (unit-max
+# images hold pixels near 1e-5).  A floor above a pixel turns the
+# multiplicative step z (1 - nu g) into the additive z - nu SCALE_MIN g,
+# which a long steplength drives to zero; the pixel then has to be
+# regrown over many short steps, and the run creeps.
+SCALE_MIN = 1e-10
+SCALE_MAX = 1e4
 
-    beta_ls: float = 1e-4          # sufficient-decrease fraction
-    backtrack: float = 0.5
-    max_backtracks: int = 50
-    scale_min: float = 1e-10       # diagonal scaling clamp bounds
-    scale_max: float = 1e4
+# Adaptive BB steplength: the clamp bounds and the number of recent BB2
+# values the min-BB2 branch looks back over.
+NU_MIN = 1e-10
+NU_MAX = 1e10
+BB2_MEMORY = 3
 
 
 @dataclass
 class SteplengthState:
-    """Cross-call memory for the adaptive BB steplength rule."""
+    """Cross-call memory for the adaptive BB steplength rule: the
+    switching threshold, the recent BB2 values and the last
+    iterate/gradient pair."""
 
-    nu_min: float = 1e-10
-    nu_max: float = 1e10
-    q: int = 3
     tau_abb: float = 0.5
-    buffer: deque = field(default_factory=lambda: deque(maxlen=3))
+    buffer: deque = field(default_factory=lambda: deque(maxlen=BB2_MEMORY))
     prev_z: np.ndarray | None = None
     prev_g: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.buffer.maxlen != self.q:
-            self.buffer = deque(self.buffer, maxlen=self.q)
 
     def begin_call(self):
         # A new invocation works on a new objective: the iterate/gradient
@@ -88,9 +85,10 @@ class SteplengthState:
         self.prev_g = g
 
 
-def scaling_matrix(z, lo=SgpConfig.scale_min, hi=SgpConfig.scale_max):
-    """Diagonal scaling: the iterate clamped into [lo, hi]."""
-    return DiagonalMetric(np.clip(z, lo, hi), lo, hi)
+def scaling_matrix(z):
+    """Diagonal scaling: the iterate clamped into [SCALE_MIN, SCALE_MAX]."""
+    return DiagonalMetric(np.clip(z, SCALE_MIN, SCALE_MAX), SCALE_MIN,
+                          SCALE_MAX)
 
 
 def abbmin_steplength(state, metric, z=None, g=None):
@@ -99,7 +97,7 @@ def abbmin_steplength(state, metric, z=None, g=None):
     Falls back to the minimum buffered steplength when no iterate pair
     is available yet in this call, and to 1 on a completely cold start.
     """
-    clamp = lambda nu: min(max(nu, state.nu_min), state.nu_max)
+    clamp = lambda nu: min(max(nu, NU_MIN), NU_MAX)
     if z is None or state.prev_z is None:
         if state.buffer:
             return clamp(min(state.buffer))
@@ -114,14 +112,14 @@ def abbmin_steplength(state, metric, z=None, g=None):
     wd = np.multiply(w, d, out=w)
     w_cc_w = _dot(wd, wd)
     if s_cinv_w <= 0 or w_cc_w <= 0:
-        return state.nu_max
+        return NU_MAX
     nu_bb1 = s_cinv_s_cinv / s_cinv_w
     # BB2 measures curvature as s'Cw, whose sign can differ from that of
     # s'C^-1 w when the scaling spans orders of magnitude.  A nonpositive
     # s'Cw carries no curvature information: BB2 counts as nu_max, as in
     # Bonettini, Zanella & Zanni (2009), and never enters the buffer as a
     # tiny step that the min-BB2 branch would then take.
-    nu_bb2 = s_c_w / w_cc_w if s_c_w > 0 else state.nu_max
+    nu_bb2 = s_c_w / w_cc_w if s_c_w > 0 else NU_MAX
     state.buffer.append(clamp(nu_bb2))
     if nu_bb2 / nu_bb1 < state.tau_abb:
         state.tau_abb *= 0.9
@@ -133,25 +131,25 @@ def abbmin_steplength(state, metric, z=None, g=None):
 @dataclass
 class SgpTrace:
     iterations: int = 0
-    values: list = field(default_factory=list)
-    pg_norms: list = field(default_factory=list)
-    steplengths: list = field(default_factory=list)
     final_pg_norm: float = float("nan")
     start_gradient: np.ndarray | None = None    # model gradient at z0
 
 
-def sgp_solve(model, feasible_set, z0, state, config, max_iters,
+def sgp_solve(model, feasible_set, z0, state, max_iters,
               stop_norm_target=None, stop=None, max_time=None,
               monitor=None):
     """Run scaled gradient projection on a convex model over a feasible set.
 
-    Stops when the projected-gradient norm reaches `stop_norm_target`,
+    Stops when the projected-gradient norm reaches `stop_norm_target`
+    after at least one step (a loose target that returned z0 would give
+    the outer solver a zero step, which ends its run as if converged),
     when `stop(rel_change)` holds after an accepted step (see
-    `RelChangeStop`), or on the iteration / wall-time caps.  Every
-    iterate is feasible and the objective sequence is monotone (Armijo
-    sufficient decrease on each accepted step).  `monitor(k, z, f,
-    rel_change, pg_norm)` sees each accepted iterate, with the
-    projected-gradient norm of the iterate it was stepped from.
+    `RelChangeStop`), on the iteration / wall-time caps, or where the
+    scaled step leaves z in place.  Every iterate is feasible and the
+    objective sequence is monotone (Armijo sufficient decrease on each
+    accepted step).  `monitor(k, z, f, rel_change, pg_norm)` sees each
+    accepted iterate, with the projected-gradient norm of the iterate it
+    was stepped from.
 
     The solver writes into the arrays that `hessian_vec` and
     `project_weighted` return, so those must be fresh; it never writes
@@ -176,12 +174,12 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
     for _ in range(max_iters):
         if g is None:
             g = model.gradient(z)
-        pg_norm = float(np.linalg.norm(feasible_set.projected_gradient(z, g)))
-        trace.pg_norms.append(pg_norm)
-        if stop_norm_target is not None and pg_norm <= stop_norm_target:
+        pg_norm = feasible_set.pg_norm(z, g)
+        if (stop_norm_target is not None and trace.iterations > 0
+                and pg_norm <= stop_norm_target):
             stopped_at_z = True
             break
-        metric = scaling_matrix(z, config.scale_min, config.scale_max)
+        metric = scaling_matrix(z)
         nu = abbmin_steplength(state, metric, z, g)
         # The scaled trial point z - nu d g, formed in place.
         np.multiply(nu, metric.d, out=scaled)
@@ -206,9 +204,9 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
         else:
             trial = lambda rho: model.value(z + rho * direction)
         f_new = trial(rho)
-        while f_new > f_z + config.beta_ls * rho * slope:
+        while f_new > f_z + BETA_LS * rho * slope:
             backtracks += 1
-            if backtracks > config.max_backtracks:
+            if backtracks > MAX_BACKTRACKS:
                 if abs(rho * slope) <= 1e-12 * max(abs(f_z), 1e-30):
                     # The last trial step's predicted decrease is below
                     # the round-off resolution of the objective value:
@@ -218,10 +216,10 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
                     stopped_at_z = True
                     break
                 raise RuntimeError(
-                    f"SGP line search exhausted after {config.max_backtracks} "
+                    f"SGP line search exhausted after {MAX_BACKTRACKS} "
                     f"backtracks (slope {slope:.6g}, last rho {rho:.6g}): "
                     "model value and gradient are inconsistent")
-            rho *= config.backtrack
+            rho *= BACKTRACK
             f_new = trial(rho)
         if stopped_at_z:
             break
@@ -243,19 +241,15 @@ def sgp_solve(model, feasible_set, z0, state, config, max_iters,
             # pass or at exit.
             g = None
         trace.iterations += 1
-        trace.values.append(f_z)
-        trace.steplengths.append(nu)
         if monitor is not None:
             monitor(trace.iterations, z, f_z, rel_change, pg_norm)
         if stop is not None and stop(rel_change):
             break
         if max_time is not None and time.perf_counter() - start >= max_time:
             break
-    if stopped_at_z:
-        trace.final_pg_norm = trace.pg_norms[-1]
-    else:
+    if not stopped_at_z:
         if g is None:
             g = model.gradient(z)
-        trace.final_pg_norm = float(np.linalg.norm(
-            feasible_set.projected_gradient(z, g)))
+        pg_norm = feasible_set.pg_norm(z, g)
+    trace.final_pg_norm = pg_norm
     return z, trace

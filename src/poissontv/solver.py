@@ -10,7 +10,7 @@ direction.
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 import csv
 import math
@@ -20,8 +20,8 @@ import numpy as np
 
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
-from .sgp import (RelChangeStop, SgpConfig, SteplengthState, _dot,
-                  relative_change, sgp_solve)
+from .sgp import (RelChangeStop, SteplengthState, _dot, relative_change,
+                  sgp_solve)
 from .testbed import MssimReference, relative_error
 
 # Consecutive iterations the relative-change criterion must hold before
@@ -29,6 +29,9 @@ from .testbed import MssimReference, relative_error
 # the adaptive steplength rule (buffer length 3 plus the recovery step
 # on either side), so transient tiny-step bursts do not end the run.
 SGP_STOP_PATIENCE = 7
+
+# Backtracks the outer nonmonotone line search makes before it gives up.
+MAX_LINE_SEARCH = 60
 
 
 def stop_rule(method, tol):
@@ -49,16 +52,13 @@ class AcquireConfig:
     gamma: float = 1e-5             # curvature shift of the KL model
     eta: float = 1e-5               # Armijo slope fraction
     delta: float = 0.5              # backtrack factor
-    memory: int = 5                 # nonmonotone reference window
+    memory: int = 5                 # nonmonotone window; 1 is monotone
     theta: float = 0.1              # inner stop ratio
     inner_max_iters: int = 10       # 0 means uncapped
     tol: float = 1e-6               # relative-change stopping threshold
     max_outer_iters: int = 10000
     max_time: float = 25.0          # wall-clock budget, seconds
-    monotone: bool = False          # force memory = 1
     track_mssim: bool = False       # per-iteration MSSIM when truth is known
-    max_line_search: int = 60
-    sgp: SgpConfig = field(default_factory=SgpConfig)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in
@@ -236,13 +236,12 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    memory = 1 if config.monotone else config.memory
     # The one evaluation path for the objective: it keeps A x of the
     # current iterate, so the outer line search applies A once (A d) and
     # the next model is built from the cached A x.
     objective = _SmoothObjective(data, config.lam, config.mu)
     f_x = objective.value(x)
-    f_hist = deque([f_x], maxlen=memory)
+    f_hist = deque([f_x], maxlen=config.memory)
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
     stop = stop_rule("acquire", config.tol)
@@ -250,8 +249,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     # the first iteration the model gradient at the start equals the true
     # gradient, so this is the model's projected-gradient norm at x^(0);
     # keeping it fixed makes the threshold sequence exactly geometric.
-    ref_norm = float(np.linalg.norm(feasible_set.projected_gradient(
-        x, objective.gradient(x))))
+    ref_norm = feasible_set.pg_norm(x, objective.gradient(x))
     recording = _recorder(config, ground_truth, on_iterate, start)
     with recording as (trace, record):
         for k in range(1, config.max_outer_iters + 1):
@@ -259,7 +257,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
                                objective.blurred(x))
             target = config.theta**k * ref_norm
             x_hat, inner = sgp_solve(model, feasible_set, x, state,
-                                     config.sgp, max_iters=inner_cap,
+                                     max_iters=inner_cap,
                                      stop_norm_target=target)
             d = x_hat - x
             # The inner solve starts at x, where the model gradient equals
@@ -272,10 +270,10 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
             backtracks = 0
             while f_trial > f_ref + config.eta * alpha * slope:
                 backtracks += 1
-                if backtracks > config.max_line_search:
+                if backtracks > MAX_LINE_SEARCH:
                     raise RuntimeError(
                         f"outer line search at iteration {k}: no Armijo "
-                        f"step within {config.max_line_search} backtracks "
+                        f"step within {MAX_LINE_SEARCH} backtracks "
                         f"(f_ref {f_ref:.17g}, slope {slope:.6g}, last "
                         f"alpha {alpha:.6g})")
                 alpha *= config.delta
@@ -353,7 +351,7 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     recording = _recorder(config, ground_truth, on_iterate, start)
     with recording as (trace, record):
         x, _ = sgp_solve(_SmoothObjective(data, config.lam, config.mu),
-                         feasible_set, x0, SteplengthState(), config.sgp,
+                         feasible_set, x0, SteplengthState(),
                          max_iters=config.max_outer_iters,
                          stop=stop_rule("sgp", config.tol),
                          max_time=config.max_time, monitor=record)

@@ -118,6 +118,18 @@ def test_motion_kernel_is_normalized_and_nonneg():
         assert np.all(k >= 0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_generators_reject_non_finite_parameters(bad):
+    # A NaN angle used to reach an integer cast, and an infinite radius
+    # raised OverflowError.
+    for make, name in ((lambda: gaussian_psf(5, bad), "sigma"),
+                       (lambda: motion_psf(bad, 45.0), "length"),
+                       (lambda: motion_psf(11, bad), "angle"),
+                       (lambda: disk_psf(bad), "radius")):
+        with pytest.raises(ValueError, match=name):
+            make()
+
+
 # --------------------------------------------------------------- disk
 
 

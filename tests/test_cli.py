@@ -178,7 +178,7 @@ def test_config_file_and_flag_override(tmp_path):
     assert meta["size"] == 32            # config file wins over default
 
 
-def test_invalid_configs_rejected(tmp_path):
+def test_invalid_configs_rejected(tmp_path, capsys):
     out = str(tmp_path / "x")
     # Non-decreasing tolerance list.
     assert run("solve", *BASE, "--tol", "1e-3,1e-2", "--out", out) == 2
@@ -208,8 +208,17 @@ def test_invalid_configs_rejected(tmp_path):
                   ("--background", "-1"), ("--background", "0"),
                   ("--background", "nan"), ("--seed", "-1")):
         assert run("solve", *BASE, *flags, "--out", out) == 2, flags
-    cfg.write_text(json.dumps({"memory": 0}))
-    assert run("solve", *BASE, "--config", str(cfg), "--out", out) == 2
+    # A non-finite motion angle used to reach an integer cast, and exit
+    # on the array size it gave.
+    for value in ("nan", "inf"):
+        capsys.readouterr()
+        assert run("solve", *BASE, "--blur", "motion", "--angle", value,
+                   "--out", out) == 2
+        assert "angle must be finite" in capsys.readouterr().err
+    # --monotone stands for memory 1, but a memory below 1 is still wrong.
+    for user in ({"memory": 0}, {"memory": 0, "monotone": True}):
+        cfg.write_text(json.dumps(user))
+        assert run("solve", *BASE, "--config", str(cfg), "--out", out) == 2
     # Non-finite integer fields, which int() used to turn into a
     # traceback.  JSON has no NaN or Infinity; Python's parser takes both.
     for text in ('{"size": NaN}', '{"size": Infinity}',

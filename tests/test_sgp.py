@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from poissontv import sgp
 from poissontv.constraints import DiagonalMetric, FeasibleSet
-from poissontv.sgp import (RelChangeStop, SgpConfig, SteplengthState,
+from poissontv.sgp import (NU_MAX, RelChangeStop, SteplengthState,
                            abbmin_steplength, scaling_matrix, sgp_solve)
 
 
@@ -69,11 +70,11 @@ def qp_simplex_oracle(q_mat, q_vec, c):
 
 def test_scaling_matrix_clamps():
     z = np.array([0.0, 0.5, 1e6])
-    metric = scaling_matrix(z, 1e-4, 1e4)
-    assert metric.d.tolist() == [1e-4, 0.5, 1e4]
+    metric = scaling_matrix(z)
+    assert metric.d.tolist() == [1e-10, 0.5, 1e4]
     # Strictly interior entries pass through untouched.
     z2 = np.array([0.01, 3.0])
-    assert scaling_matrix(z2, 1e-4, 1e4).d.tolist() == [0.01, 3.0]
+    assert scaling_matrix(z2).d.tolist() == [0.01, 3.0]
 
 
 def test_default_scaling_floor_keeps_small_pixels_positive():
@@ -82,14 +83,11 @@ def test_default_scaling_floor_keeps_small_pixels_positive():
     # multiplicative z (1 - nu g) and the pixel stays positive; a floor
     # above the pixel makes the step z - nu * floor * g, which the
     # projection sets to zero.
-    config = SgpConfig()
     z = np.array([1e-5, 0.5])
     g = np.array([1.0, 1.0])
-    metric = scaling_matrix(z, config.scale_min, config.scale_max)
+    metric = scaling_matrix(z)
     p = FeasibleSet.nonneg().project_weighted(metric, z - 0.6 * metric.d * g)
     assert p[0] == pytest.approx(0.4e-5, rel=1e-12)
-    # The function's own defaults are the config's.
-    assert np.array_equal(scaling_matrix(z).d, metric.d)
 
 
 # ----------------------------------------------------------- steplength
@@ -132,7 +130,7 @@ def test_abbmin_negative_curvature_returns_nu_max():
     # w = g - prev_g = (-1, 0), s = (1, 0): s'w < 0.
     nu = abbmin_steplength(state, metric, np.array([1.0, 0.0]),
                            np.zeros(2))
-    assert nu == state.nu_max
+    assert nu == NU_MAX
     assert not state.buffer  # safeguard branch records nothing
 
 
@@ -147,7 +145,7 @@ def test_abbmin_nonpositive_bb2_curvature_is_not_a_tiny_step():
     w = np.array([1.0, -0.5])  # s'C^-1 w = 99.5, s'Cw = -0.49
     nu = abbmin_steplength(state, metric, s, w)
     assert nu == pytest.approx((1e4 + 1.0) / 99.5)
-    assert list(state.buffer) == [state.nu_max]
+    assert list(state.buffer) == [NU_MAX]
     assert state.tau_abb == pytest.approx(0.5 * 1.1)
 
 
@@ -172,12 +170,6 @@ def test_abbmin_buffer_fallback_after_begin_call():
     assert abbmin_steplength(state, metric) == pytest.approx(0.2)
 
 
-def test_buffer_respects_q():
-    state = SteplengthState(q=2)
-    state.buffer.extend([1.0, 2.0, 3.0])
-    assert list(state.buffer) == [2.0, 3.0]
-
-
 # ----------------------------------------------------------------- solve
 
 
@@ -185,16 +177,29 @@ def test_stationary_start_returns_immediately():
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))  # min at (1, 1)
     z0 = np.array([1.0, 1.0])
     z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, SteplengthState(),
-                         SgpConfig(), max_iters=10, stop_norm_target=1e-12)
+                         max_iters=10, stop_norm_target=1e-12)
     assert np.array_equal(z, z0)
     assert trace.iterations == 0
+
+
+def test_loose_target_still_takes_a_step():
+    # A start already within the target is not stationary: the solve
+    # steps once before it tests the target, so it never returns z0.
+    model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))
+    z0 = np.array([2.0, 2.0])
+    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, SteplengthState(),
+                         max_iters=10, stop_norm_target=1e30)
+    assert trace.iterations == 1
+    assert model.value(z) < model.value(z0)
+    assert trace.final_pg_norm == pytest.approx(
+        np.linalg.norm(model.gradient(z)), rel=1e-12)
 
 
 def test_1d_quadratic_converges():
     # 0.5 (z - 3)^2 over z >= 0 from z0 = 0 with the default scaling.
     model = Quadratic(np.eye(1), np.array([-3.0]))
     z, trace = sgp_solve(model, FeasibleSet.nonneg(), np.array([0.0]),
-                         SteplengthState(), SgpConfig(), max_iters=10,
+                         SteplengthState(), max_iters=10,
                          stop_norm_target=1e-10)
     assert abs(z[0] - 3.0) <= 1e-8
     assert trace.iterations <= 10
@@ -210,7 +215,7 @@ def test_qp_on_flux_simplex_matches_kkt_oracle():
     feasible = FeasibleSet.nonneg_flux(c)
     z0 = feasible.project(np.ones(3))
     z, _ = sgp_solve(Quadratic(q_mat, q_vec), feasible, z0,
-                     SteplengthState(), SgpConfig(), max_iters=200,
+                     SteplengthState(), max_iters=200,
                      stop_norm_target=1e-10)
     assert np.allclose(z, expected, atol=1e-6)
 
@@ -228,7 +233,7 @@ def test_iterates_feasible_and_objective_monotone():
         assert k == len(seen)
         seen.append(f)
 
-    sgp_solve(model, feasible, z0, SteplengthState(), SgpConfig(),
+    sgp_solve(model, feasible, z0, SteplengthState(),
               max_iters=50, stop_norm_target=0.0, monitor=monitor)
     # Monotone from the start value on: the contract ACQUIRE's outer
     # step relies on.
@@ -243,28 +248,36 @@ def test_generic_value_path_matches_fast_path():
     feasible = FeasibleSet.nonneg()
     z0 = np.full(4, 0.5)
     z1, _ = sgp_solve(Quadratic(q_mat, q_vec), feasible, z0.copy(),
-                      SteplengthState(), SgpConfig(), max_iters=30,
+                      SteplengthState(), max_iters=30,
                       stop_norm_target=1e-12)
     z2, _ = sgp_solve(GradientOnly(q_mat, q_vec), feasible, z0.copy(),
-                      SteplengthState(), SgpConfig(), max_iters=30,
+                      SteplengthState(), max_iters=30,
                       stop_norm_target=1e-12)
     assert np.allclose(z1, z2, atol=1e-12)
 
 
-def test_steplength_state_persists_across_calls():
+def test_steplength_state_persists_across_calls(monkeypatch):
     model = Quadratic(np.diag([1.0, 4.0]), np.array([-1.0, -2.0]))
     feasible = FeasibleSet.nonneg()
     state = SteplengthState()
     sgp_solve(model, feasible, np.array([2.0, 2.0]), state,
-              SgpConfig(), max_iters=5, stop_norm_target=0.0)
+              max_iters=5, stop_norm_target=0.0)
     assert state.buffer  # BB2 values recorded
     carried = min(state.buffer)
-    _, trace = sgp_solve(model, feasible, np.array([3.0, 1.0]), state,
-                         SgpConfig(), max_iters=5, stop_norm_target=0.0)
+    steplengths = []
+    steplength = sgp.abbmin_steplength
+
+    def recorded(*args):
+        steplengths.append(steplength(*args))
+        return steplengths[-1]
+
+    monkeypatch.setattr(sgp, "abbmin_steplength", recorded)
+    sgp_solve(model, feasible, np.array([3.0, 1.0]), state,
+              max_iters=5, stop_norm_target=0.0)
     # First steplength of the second call comes from the carried buffer,
     # not from a cold restart at 1.
-    assert trace.steplengths[0] == pytest.approx(
-        min(max(carried, state.nu_min), state.nu_max))
+    assert steplengths[0] == pytest.approx(
+        min(max(carried, sgp.NU_MIN), NU_MAX))
 
 
 class Inconsistent:
@@ -277,16 +290,18 @@ class Inconsistent:
         return -np.ones_like(z) * 10.0
 
 
-def test_line_search_exhaustion_raises():
-    with pytest.raises(RuntimeError, match=r"slope -\S+, last rho \S+\)"):
+def test_line_search_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(sgp, "MAX_BACKTRACKS", 8)
+    with pytest.raises(RuntimeError, match=r"after 8 backtracks \(slope "
+                       r"-\S+, last rho \S+\)"):
         sgp_solve(Inconsistent(), FeasibleSet.nonneg(), np.array([5.0]),
-                  SteplengthState(), SgpConfig(max_backtracks=8), max_iters=5)
+                  SteplengthState(), max_iters=5)
 
 
 def test_rel_change_stop():
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))
     _, trace = sgp_solve(model, FeasibleSet.nonneg(), np.array([0.5, 0.5]),
-                         SteplengthState(), SgpConfig(), max_iters=100,
+                         SteplengthState(), max_iters=100,
                          stop=RelChangeStop(1e-3))
     assert trace.iterations < 100
 
@@ -303,7 +318,7 @@ def test_rel_change_patience_delays_stop():
     for patience in (1, 4):
         z, trace = sgp_solve(model, FeasibleSet.nonneg(),
                              np.array([3.0, 0.2]), SteplengthState(),
-                             SgpConfig(), max_iters=200,
+                             max_iters=200,
                              stop=RelChangeStop(1e-5, patience))
         iters[patience] = trace.iterations
         gaps[patience] = np.linalg.norm(z - minimizer)

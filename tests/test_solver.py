@@ -8,7 +8,7 @@ from poissontv import solver
 from poissontv.blur import gaussian_psf
 from poissontv.constraints import FeasibleSet
 from poissontv.kl import kl_gradient, kl_value
-from poissontv.sgp import SgpConfig, SteplengthState, sgp_solve
+from poissontv.sgp import SteplengthState, sgp_solve
 from poissontv.solver import (AcquireConfig, OuterModel, SolverTrace,
                               _SmoothObjective, acquire_solve,
                               objective_gradient, objective_value,
@@ -110,7 +110,7 @@ def test_full_step_satisfies_armijo_on_the_model():
     x = feasible.project(problem.observed)
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
     x_hat, _ = sgp_solve(model, feasible, x, SteplengthState(),
-                         SgpConfig(), max_iters=500, stop_norm_target=1e-12)
+                         max_iters=500, stop_norm_target=1e-12)
     d = x_hat - x
     slope = float(np.vdot(model.gradient(x), d))
     assert slope < 0
@@ -200,7 +200,7 @@ def test_inner_cap_flagged_when_binding():
 
 def test_monotone_mode_is_monotone():
     problem = toy_problem()
-    config = toy_config(monotone=True, max_outer_iters=50)
+    config = toy_config(memory=1, max_outer_iters=50)
     _, trace = acquire_solve(problem.data(), FeasibleSet.nonneg(),
                              problem.observed, config)
     objs = trace.objective
@@ -260,17 +260,19 @@ def test_cached_line_search_matches_direct_evaluation():
         return apply(x)
 
     data.op.apply = counted_apply
-    cached = sgp_solve(_SmoothObjective(data, LAM, 1e-2), feasible, x0,
-                       SteplengthState(), SgpConfig(), max_iters=40,
-                       stop_norm_target=0.0)
+    cached_values, direct_values = [], []
+
+    def solve(model, values):
+        return sgp_solve(model, feasible, x0, SteplengthState(),
+                         max_iters=40, stop_norm_target=0.0,
+                         monitor=lambda k, z, f, *_: values.append(f))
+
+    za, ta = solve(_SmoothObjective(data, LAM, 1e-2), cached_values)
     cached_applies = len(applies)
-    direct = sgp_solve(ValueGradientOnly(data), feasible, x0,
-                       SteplengthState(), SgpConfig(), max_iters=40,
-                       stop_norm_target=0.0)
-    (za, ta), (zb, tb) = cached, direct
+    zb, tb = solve(ValueGradientOnly(data), direct_values)
     assert ta.iterations == tb.iterations == 40
     assert np.linalg.norm(za - zb) <= 1e-12 * np.linalg.norm(zb)
-    assert ta.values == pytest.approx(tb.values, rel=1e-12)
+    assert cached_values == pytest.approx(direct_values, rel=1e-12)
     # One apply at the start, then one (A d) per iteration, however many
     # trials the line search makes.
     assert cached_applies == 1 + ta.iterations
@@ -289,7 +291,7 @@ def test_acquire_blur_calls_per_outer_iteration():
     for name in ("apply", "apply_adjoint"):
         fn = getattr(data.op, name)
         setattr(data.op, name, lambda x, fn=fn: calls.append(1) or fn(x))
-    for overrides in ({}, {"eta": 0.99, "monotone": True}):
+    for overrides in ({}, {"eta": 0.99, "memory": 1}):
         del calls[:]
         _, trace = acquire_solve(data, FeasibleSet.nonneg(), problem.observed,
                                  toy_config(max_outer_iters=8, **overrides))
@@ -313,7 +315,7 @@ def test_inner_gradient_recurrence_matches_fresh_gradient():
     record = state.record
     state.record = lambda z, g: pairs.append((z, g)) or record(z, g)
     _, inner = sgp_solve(model, feasible, x, state,
-                         SgpConfig(), max_iters=100000, stop_norm_target=1e-10)
+                         max_iters=100000, stop_norm_target=1e-10)
     assert inner.final_pg_norm <= 1e-10
     assert len(pairs) == inner.iterations
     for z, g in pairs:
@@ -379,12 +381,12 @@ def test_sgp_step_writes_only_arrays_it_owns(feasible):
         seen.append((z, z.copy()))
 
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
-    z1, inner = sgp_solve(model, feasible, x, state, SgpConfig(),
+    z1, inner = sgp_solve(model, feasible, x, state,
                           max_iters=15, monitor=monitor)
     z1_kept = z1.copy()
     start_gradient = inner.start_gradient.copy()
     z2, _ = sgp_solve(OuterModel(data, z1, LAM, 1e-2, 1e-5), feasible, z1,
-                      state, SgpConfig(), max_iters=15, monitor=monitor)
+                      state, max_iters=15, monitor=monitor)
     assert len(seen) == 30
     assert np.array_equal(x, x_kept) and np.array_equal(z1, z1_kept)
     assert np.array_equal(inner.start_gradient, start_gradient)
@@ -392,16 +394,36 @@ def test_sgp_step_writes_only_arrays_it_owns(feasible):
     assert z2 is seen[-1][0]
 
 
-def test_outer_line_search_failure_explains_itself():
+def test_outer_line_search_failure_explains_itself(monkeypatch):
     # The full step's decrease is about half its linear prediction on a
     # nearly quadratic objective, so with eta = 0.99 it fails the Armijo
     # test, and no backtracks are allowed.
     problem = toy_problem()
-    config = toy_config(eta=0.99, monotone=True, max_line_search=0)
+    monkeypatch.setattr(solver, "MAX_LINE_SEARCH", 0)
+    config = toy_config(eta=0.99, memory=1)
     with pytest.raises(RuntimeError, match=r"iteration 1: .*f_ref .*slope "
                        r"-.*last alpha 1\)"):
         acquire_solve(problem.data(), FeasibleSet.nonneg(), problem.observed,
                       config)
+
+
+def test_loose_inner_target_does_not_end_the_run():
+    # With theta = 0.9 the inner target of outer iteration 2 already
+    # exceeded the projected-gradient norm at its start: the inner solve
+    # returned its start, and the zero step passed the tol stop after 2
+    # of 30 iterations, at an error far above a full run's.
+    problem = make_problem(shepp_logan(64), gaussian_psf(63, 2.0), 35.0, 1)
+    errors = {}
+    for theta in (0.9, 0.1):
+        config = AcquireConfig(lam=6e-3, theta=theta, tol=1e-6,
+                               max_outer_iters=30, max_time=float("inf"))
+        _, trace = acquire_solve(problem.data(), FeasibleSet.nonneg(),
+                                 problem.observed, config,
+                                 ground_truth=problem.ground_truth)
+        assert len(trace.iters) == 30
+        assert min(trace.inner_iters) >= 1
+        errors[theta] = min(trace.rel_error)
+    assert errors[0.9] <= 1.01 * errors[0.1]
 
 
 def test_sgp_restore_does_not_creep_on_the_phantom():
