@@ -25,7 +25,8 @@ class DiagonalMetric:
         d = np.asarray(self.d, dtype=np.float64)
         if not (0 < self.d_min <= self.d_max):
             raise ValueError("require 0 < d_min <= d_max")
-        if np.any(d < self.d_min) or np.any(d > self.d_max):
+        # Written so that a NaN entry fails the check too.
+        if not (np.all(d >= self.d_min) and np.all(d <= self.d_max)):
             raise ValueError("metric entries outside [d_min, d_max]")
         object.__setattr__(self, "d", d)
 
@@ -52,7 +53,7 @@ class FeasibleSet:
 
     def contains(self, x):
         x = np.asarray(x)
-        if np.any(x < 0):
+        if not np.all(x >= 0):      # also false on a NaN entry
             return False
         if self.flux is not None:
             return abs(float(x.sum()) - self.flux) <= 1e-10 * self.flux

@@ -67,12 +67,13 @@ BB2_MEMORY = 3
 class SteplengthState:
     """Cross-call memory for the adaptive BB steplength rule: the
     switching threshold, the recent BB2 values and the last
-    iterate/gradient pair."""
+    iterate/gradient pair, plus the steplength's own work arrays."""
 
     tau_abb: float = 0.5
     buffer: deque = field(default_factory=lambda: deque(maxlen=BB2_MEMORY))
     prev_z: np.ndarray | None = None
     prev_g: np.ndarray | None = None
+    _work: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def begin_call(self):
         # A new invocation works on a new objective: the iterate/gradient
@@ -84,6 +85,13 @@ class SteplengthState:
         self.prev_z = z
         self.prev_g = g
 
+    def work(self, like):
+        """Three arrays shaped like `like` for s, w and C^-1 s, kept
+        across calls so that a steplength allocates no image."""
+        if not self._work or self._work[0].shape != like.shape:
+            self._work = tuple(np.empty(like.shape) for _ in range(3))
+        return self._work
+
 
 def scaling_matrix(z):
     """Diagonal scaling: the iterate clamped into [SCALE_MIN, SCALE_MAX]."""
@@ -92,8 +100,16 @@ def scaling_matrix(z):
 
 
 def abbmin_steplength(state, metric, z=None, g=None):
-    """Adaptive BB steplength in the metric induced by C = diag(metric).
+    """ABBmin steplength (Frassoldati, Zanghirati & Zanni 2008) in the
+    metric C = diag(metric), as SGP states it (Bonettini, Zanella & Zanni
+    2009).
 
+    With s and w the last iterate and gradient differences,
+    BB1 = s'C^-2 s / s'C^-1 w and BB2 = s'Cw / w'C^2 w; a BB value whose
+    curvature term is nonpositive counts as NU_MAX.  BB2 enters a buffer
+    of the last BB2_MEMORY values.  If BB2 / BB1 < tau the rule takes
+    the smallest buffered BB2 and shrinks tau by 0.9, else it takes BB1
+    and grows tau by 1.1; the result is clamped into [NU_MIN, NU_MAX].
     Falls back to the minimum buffered steplength when no iterate pair
     is available yet in this call, and to 1 on a completely cold start.
     """
@@ -103,23 +119,25 @@ def abbmin_steplength(state, metric, z=None, g=None):
             return clamp(min(state.buffer))
         return 1.0
     d = metric.d
-    s = z - state.prev_z
-    w = g - state.prev_g
-    s_cinv = s / d
+    s, w, s_cinv = state.work(z)
+    np.subtract(z, state.prev_z, out=s)
+    np.subtract(g, state.prev_g, out=w)
+    np.divide(s, d, out=s_cinv)
     s_cinv_w = _dot(s_cinv, w)
     s_cinv_s_cinv = _dot(s_cinv, s_cinv)
     s_c_w = _dot(np.multiply(s, d, out=s), w)
     wd = np.multiply(w, d, out=w)
     w_cc_w = _dot(wd, wd)
-    if s_cinv_w <= 0 or w_cc_w <= 0:
-        return NU_MAX
-    nu_bb1 = s_cinv_s_cinv / s_cinv_w
-    # BB2 measures curvature as s'Cw, whose sign can differ from that of
-    # s'C^-1 w when the scaling spans orders of magnitude.  A nonpositive
-    # s'Cw carries no curvature information: BB2 counts as nu_max, as in
-    # Bonettini, Zanella & Zanni (2009), and never enters the buffer as a
-    # tiny step that the min-BB2 branch would then take.
-    nu_bb2 = s_c_w / w_cc_w if s_c_w > 0 else NU_MAX
+    # A nonpositive curvature term leaves that BB value undefined; it
+    # counts as nu_max and the ratio test still runs.  With BB1 = nu_max
+    # the test takes the smallest buffered BB2, a step the line search
+    # can accept; a step of nu_max it would halve about 33 times.  BB2
+    # measures curvature as s'Cw, whose sign can differ from that of
+    # s'C^-1 w when the scaling spans orders of magnitude; an undefined
+    # BB2 never enters the buffer as a tiny step that the min-BB2 branch
+    # would then take.
+    nu_bb1 = s_cinv_s_cinv / s_cinv_w if s_cinv_w > 0 else NU_MAX
+    nu_bb2 = s_c_w / w_cc_w if s_c_w > 0 and w_cc_w > 0 else NU_MAX
     state.buffer.append(clamp(nu_bb2))
     if nu_bb2 / nu_bb1 < state.tau_abb:
         state.tau_abb *= 0.9

@@ -6,6 +6,8 @@ appear with `-s` or `-rA`).  The phantom benchmark runs are shared
 across criteria 1-4 through a module-level cache, and a tolerance sweep
 is evaluated from a single run at the tightest tolerance: stopping at a
 looser tolerance truncates the same deterministic iterate sequence.
+Criteria 1-4 carry the `slow` marker (ten 25-second runs per method);
+`pytest -m "not slow"` leaves them out.
 """
 
 import itertools
@@ -83,18 +85,21 @@ def median_band(snr, err_band, mssim_floor):
     return ok, med_err, med_sim
 
 
+@pytest.mark.slow
 def test_criterion_1_phantom_snr35_error_and_mssim_bands():
     ok, med_err, med_sim = median_band(35.0, (0.12, 0.165), 0.95)
     report(1, ok, f"SNR=35 median min rel err {med_err:.4f} in [0.12, "
                   f"0.165], median MSSIM {med_sim:.4f} >= 0.95")
 
 
+@pytest.mark.slow
 def test_criterion_2_phantom_snr40_error_and_mssim_bands():
     ok, med_err, med_sim = median_band(40.0, (0.11, 0.15), 0.96)
     report(2, ok, f"SNR=40 median min rel err {med_err:.4f} in [0.11, "
                   f"0.15], median MSSIM {med_sim:.4f} >= 0.96")
 
 
+@pytest.mark.slow
 def test_criterion_3_acquire_sgp_parity():
     worst = 0.0
     for snr in (35.0, 40.0):
@@ -107,6 +112,7 @@ def test_criterion_3_acquire_sgp_parity():
            f"phantom instance (worst gap {100 * worst:.2f}%)")
 
 
+@pytest.mark.slow
 def test_criterion_4_early_progress():
     ratios = [phantom_run("acquire", 35.0, s)["err_at_10"]
               / phantom_run("acquire", 35.0, s)["min_rel_err"]

@@ -121,6 +121,15 @@ def test_contains():
     assert not s2.contains(np.array([0.5, 0.6]))
 
 
+def test_nan_entries_fail_the_range_checks():
+    # A NaN compares false both ways, so each check asks that every
+    # entry lies in range rather than that none lies out of it.
+    with pytest.raises(ValueError):
+        DiagonalMetric(np.array([np.nan, 1.0]), 1e-10, 1e4)
+    assert not FeasibleSet.nonneg().contains(np.array([np.nan, 1.0]))
+    assert not FeasibleSet.nonneg_flux(1.0).contains(np.array([np.nan, 1.0]))
+
+
 # ----------------------------------------------------------- projection
 
 

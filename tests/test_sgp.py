@@ -127,11 +127,49 @@ def test_abbmin_negative_curvature_returns_nu_max():
     state.prev_z = np.zeros(2)
     state.prev_g = np.array([1.0, 0.0])
     metric = DiagonalMetric(np.ones(2), 1.0, 1.0)
-    # w = g - prev_g = (-1, 0), s = (1, 0): s'w < 0.
+    # w = g - prev_g = (-1, 0), s = (1, 0): s'w < 0, so both BB1 and BB2
+    # are undefined and count as nu_max.  The ratio test still runs: BB2
+    # enters the buffer, and BB2 / BB1 = 1 is not below tau.
     nu = abbmin_steplength(state, metric, np.array([1.0, 0.0]),
                            np.zeros(2))
     assert nu == NU_MAX
-    assert not state.buffer  # safeguard branch records nothing
+    assert list(state.buffer) == [NU_MAX]
+    assert state.tau_abb == pytest.approx(0.5 * 1.1)
+
+
+def test_abbmin_undefined_bb1_takes_the_buffered_minimum():
+    # s'C^-1 w <= 0 < s'Cw: BB1 counts as nu_max, so BB2 / BB1 falls below
+    # tau and the rule takes the smallest buffered BB2, the new one
+    # included, rather than nu_max.
+    state = SteplengthState()
+    state.buffer.extend([2.0, 3.0])
+    state.prev_z = np.zeros(2)
+    state.prev_g = np.zeros(2)
+    metric = DiagonalMetric(np.array([1e-2, 1.0]), 1e-2, 1.0)
+    s = np.array([1.0, 1.0])
+    w = np.array([-1.0, 1.0])  # s'C^-1 w = -99, s'Cw = 0.99
+    bb2 = 0.99 / (1e-4 + 1.0)
+    nu = abbmin_steplength(state, metric, s, w)
+    assert nu == pytest.approx(bb2)
+    assert list(state.buffer) == [2.0, 3.0, pytest.approx(bb2)]
+    assert state.tau_abb == pytest.approx(0.5 * 0.9)
+
+
+def test_abbmin_reuses_its_work_arrays():
+    # The state owns the steplength's three work arrays; the same call
+    # with fresh arrays gives the same bits.
+    rng = np.random.default_rng(3)
+    z, z_prev, g, g_prev = rng.random((4, 16)) + 0.1
+    metric = scaling_matrix(z)
+    steps = []
+    for state in (SteplengthState(), SteplengthState()):
+        state.record(z_prev, g_prev)
+        work = state.work(z)
+        steps.append([abbmin_steplength(state, metric, z, g)
+                      for _ in range(3)])
+        assert all(a is b for a, b in zip(state.work(z), work))
+    assert steps[0] == steps[1]
+    assert state.work(np.zeros(3))[0].shape == (3,)
 
 
 def test_abbmin_nonpositive_bb2_curvature_is_not_a_tiny_step():
@@ -296,6 +334,29 @@ def test_line_search_exhaustion_raises(monkeypatch):
                        r"-\S+, last rho \S+\)"):
         sgp_solve(Inconsistent(), FeasibleSet.nonneg(), np.array([5.0]),
                   SteplengthState(), max_iters=5)
+
+
+class NanGradient(GradientOnly):
+    """A quadratic whose gradient turns NaN after its first two calls."""
+
+    def __init__(self, q_mat, q_vec):
+        super().__init__(q_mat, q_vec)
+        self.calls = 0
+
+    def gradient(self, z):
+        self.calls += 1
+        g = super().gradient(z)
+        return g if self.calls <= 2 else np.full_like(g, np.nan)
+
+
+def test_nan_gradient_on_s1_raises():
+    # A NaN gradient gives a NaN step that no Armijo test rejects; the
+    # NaN iterate must then fail the feasibility check rather than run
+    # on to the iteration cap.
+    model = NanGradient(np.eye(2), np.array([-1.0, -1.0]))
+    with pytest.raises(ValueError, match="not feasible"):
+        sgp_solve(model, FeasibleSet.nonneg(), np.array([3.0, 0.5]),
+                  SteplengthState(), max_iters=20)
 
 
 def test_rel_change_stop():

@@ -440,6 +440,30 @@ def test_sgp_restore_does_not_creep_on_the_phantom():
     assert min(trace.rel_error) <= 0.134
 
 
+def test_sgp_restore_line_search_work_per_iterate(monkeypatch):
+    # The ABBmin rule takes the smallest buffered BB2 where BB1 is
+    # undefined (s'C^-1 w <= 0).  Returning nu_max there instead cost 33
+    # objective evaluations at iterations 14 and 18 of this run (110 in
+    # all); the rule makes at most 4 (56 in all).
+    problem = make_problem(shepp_logan(256), gaussian_psf(255, 2.0), 35.0, 7)
+    x0 = np.full_like(problem.observed, problem.flux / problem.observed.size)
+    config = AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=40,
+                           max_time=float("inf"))
+    calls = []
+    value = solver.objective_value
+    monkeypatch.setattr(solver, "objective_value",
+                        lambda *args: calls.append(1) or value(*args))
+    per_iterate = []
+
+    def on_iterate(k, x, rel_change):
+        per_iterate.append(len(calls))
+        calls.clear()
+    sgp_restore(problem.data(), FeasibleSet.nonneg(), x0, config,
+                on_iterate=on_iterate)
+    assert len(per_iterate) == 40
+    assert max(per_iterate) <= 10, per_iterate
+
+
 def test_acquire_and_sgp_agree_on_toy_minimizer():
     problem = toy_problem()
     data = problem.data()
