@@ -1,16 +1,15 @@
 """Periodic blur operators and point-spread-function generators.
 
 The forward operator and its adjoint are circular convolutions realized
-in the frequency domain with real FFTs.  All PSFs are nonnegative and
-normalized to sum one, so the resulting circulant matrix is doubly
-stochastic: constant images are fixed points and total flux is
+in the frequency domain with numpy's real FFTs.  All PSFs are
+nonnegative and normalized to sum one, so the resulting circulant matrix
+is doubly stochastic: constant images are fixed points and total flux is
 conserved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 
 from .image import load_f64img, save_f64img
 
@@ -122,9 +121,15 @@ def disk_psf(radius, supersample=33):
 class BlurOperator:
     """Circular convolution by a PSF on a fixed r x s grid, via real FFT.
 
-    The OTF is stored as a half spectrum (s // 2 + 1 columns); inverse
-    transforms are told the grid shape, which odd widths need.
-    Immutable after construction; `apply` and `apply_adjoint` are pure.
+    The OTF is stored as a half spectrum (s // 2 + 1 columns).  A call
+    runs four 1-D transforms through a half-spectrum buffer that the
+    operator owns: rfft along rows and fft along columns into it, the
+    product with the OTF in place, ifft along columns in place, and an
+    irfft along rows, told the grid width (which odd widths need), into
+    a fresh result.  So `apply` and `apply_adjoint` return new arrays
+    and allocate no other image-sized temporary.  Because of the shared
+    buffer, one operator must not be applied from two threads at once
+    (the solvers' MSSIM worker thread never blurs).
     """
 
     def __init__(self, psf, r, s):
@@ -140,20 +145,26 @@ class BlurOperator:
         padded = np.roll(padded, (-cy, -cx), axis=(0, 1))
         self.r = r
         self.s = s
-        self._otf = rfft2(padded)
+        self._otf = np.fft.rfft2(padded)
         self._otf_conj = np.conj(self._otf)
+        self._spec = np.empty_like(self._otf)
 
-    def _check(self, x):
+    def _convolve(self, otf, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.r, self.s):
             raise ValueError(f"image shape {x.shape} does not match operator "
                              f"({self.r}, {self.s})")
-        return x
+        spec = self._spec
+        np.fft.rfft(x, axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
+        # otf * spec, in this operand order: the product rounds
+        # differently with the operands swapped.
+        np.multiply(otf, spec, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        return np.fft.irfft(spec, n=self.s, axis=1)
 
     def apply(self, x):
-        x = self._check(x)
-        return irfft2(self._otf * rfft2(x), s=(self.r, self.s))
+        return self._convolve(self._otf, x)
 
     def apply_adjoint(self, y):
-        y = self._check(y)
-        return irfft2(self._otf_conj * rfft2(y), s=(self.r, self.s))
+        return self._convolve(self._otf_conj, y)

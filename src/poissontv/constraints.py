@@ -9,8 +9,23 @@ produces exact zeros by construction.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
+
+
+def _dot(a, b):
+    """a'b over arrays of one shape, summed by numpy's einsum loop, not
+    BLAS: BLAS sums in an order that follows its thread count, so the
+    bits (and every iterate they steer) would depend on it.  The arrays
+    go in as they are; flattening a column-major image would copy it."""
+    axes = list(range(np.ndim(a)))
+    return float(np.einsum(a, axes, b, axes, []))
+
+
+def _norm(a):
+    """Euclidean norm of an array, by `_dot`."""
+    return math.sqrt(_dot(a, a))
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,7 @@ class FeasibleSet:
         v = np.asarray(v, dtype=np.float64)
         if self.flux is None:
             return np.maximum(v, 0.0)
-        # Unit weights as a zero-stride view: no image-sized array.
-        return _project_flux(v, np.broadcast_to(1.0, v.shape), self.flux)
+        return _project_flux(v, None, self.flux)
 
     def project_weighted(self, metric, v):
         """Projection in the norm with weights 1/d_i (metric C^-1).
@@ -89,16 +103,17 @@ class FeasibleSet:
         active = x == 0
         if self.flux is None:
             return np.maximum(w, 0.0, out=w, where=active)
-        return _project_flux(w, np.broadcast_to(1.0, w.shape), 0.0, active)
+        return _project_flux(w, None, 0.0, active)
 
     def pg_norm(self, x, grad):
         """Euclidean norm of the projected gradient at feasible x."""
-        return float(np.linalg.norm(self.projected_gradient(x, grad)))
+        return _norm(self.projected_gradient(x, grad))
 
 
 def _project_flux(v, d, c, bounded=None):
     """argmin sum (x_i - v_i)^2 / d_i  s.t.  sum x = c, x_i >= 0 wherever
-    bounded is true (everywhere when it is None).
+    bounded is true (everywhere when it is None).  d None stands for unit
+    weights: their sums are counts, and the breakpoints are v itself.
 
     The solution is x = v - tau*d, clipped at 0 on bounded entries, with
     tau the root of the decreasing piecewise-linear map tau -> sum x - c.
@@ -113,39 +128,55 @@ def _project_flux(v, d, c, bounded=None):
     most once: at most floor(log2 n) + 1 rounds, O(n) work in all, with
     no sort.
     """
-    vr, dr = v.reshape(-1), d.reshape(-1)
+    unit = d is None
+    vr = v.reshape(-1)
+    dr = None if unit else d.reshape(-1)
     s_v = s_d = 0.0             # sums over entries positive at the root
     if bounded is not None:     # unbounded entries are never clipped
         b = bounded.reshape(-1)
         free = ~b
-        s_v, s_d = vr[free].sum(), dr[free].sum()
-        vr, dr = vr[b], dr[b]
-    t = vr / dr
+        s_v = vr[free].sum()
+        s_d = np.count_nonzero(free) if unit else dr[free].sum()
+        vr = vr[b]
+        dr = None if unit else dr[b]
+    t = vr if unit else vr / dr
+
+    def take(idx):              # the candidates at idx: t, v and d
+        if unit:
+            u = vr[idx]
+            return u, u, None
+        return t[idx], vr[idx], dr[idx]
+
     while t.size:
         n = t.size
-        sum_v, sum_d = s_v + vr.sum(), s_d + dr.sum()
+        sum_v = s_v + vr.sum()
+        sum_d = s_d + (n if unit else dr.sum())
         up = t > (sum_v - c) / sum_d
         n_up = np.count_nonzero(up)
         if n_up == n:           # no candidate clips: the Michelot root
             s_v, s_d = sum_v, sum_d
             break
         if n_up:                # the rest end at zero
-            t, vr, dr = t[up], vr[up], dr[up]
+            t, vr, dr = take(up)
             if 2 * n_up <= n:
                 continue
         k = t.size // 2
         idx = np.argpartition(t, k)
         m = t[idx[k]]
         hi = idx[k + 1:]        # breakpoints at or above the median m
-        hi_v, hi_d = vr[hi].sum(), dr[hi].sum()
+        hi_v = vr[hi].sum()
+        hi_d = hi.size if unit else dr[hi].sum()
         if s_v + hi_v - m * (s_d + hi_d) - c > 0:
             keep = hi           # root above m: the rest end at zero
         else:                   # root at or below m: hi and m stay positive
             s_v += hi_v + vr[idx[k]]
-            s_d += hi_d + dr[idx[k]]
+            s_d += hi_d + (1.0 if unit else dr[idx[k]])
             keep = idx[:k]
-        t, vr, dr = t[keep], vr[keep], dr[keep]
-    x = d * ((c - s_v) / s_d)
+        t, vr, dr = take(keep)
+    # Unit weights give a C-ordered x too, as d * shift does for a d that
+    # is C-ordered or broadcast: the iterates keep the blur's layout.
+    shift = (c - s_v) / s_d
+    x = np.full(v.shape, shift) if unit else d * shift
     x += v
     return np.maximum(x, 0.0, out=x,
                       where=True if bounded is None else bounded)

@@ -7,7 +7,7 @@ the anchored second-order quadratic model used by the outer solver.
 
 import numpy as np
 
-from .sgp import _dot
+from .constraints import _dot
 
 
 class PoissonData:

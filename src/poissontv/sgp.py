@@ -13,17 +13,12 @@ import time
 
 import numpy as np
 
-from .constraints import DiagonalMetric
-
-
-def _dot(a, b):
-    return float(np.vdot(a, b))
+from .constraints import DiagonalMetric, _dot, _norm
 
 
 def relative_change(new, old):
     """||new - old|| / ||old||, guarded against a zero old iterate."""
-    return float(np.linalg.norm(new - old)) / max(
-        float(np.linalg.norm(old)), np.finfo(float).tiny)
+    return _norm(new - old) / max(_norm(old), np.finfo(float).tiny)
 
 
 class RelChangeStop:

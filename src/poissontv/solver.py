@@ -18,10 +18,10 @@ import time
 
 import numpy as np
 
+from .constraints import _dot
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
-from .sgp import (RelChangeStop, SteplengthState, _dot, relative_change,
-                  sgp_solve)
+from .sgp import RelChangeStop, SteplengthState, relative_change, sgp_solve
 from .testbed import MssimReference, relative_error
 
 # Consecutive iterations the relative-change criterion must hold before

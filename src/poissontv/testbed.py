@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .blur import BlurOperator, Psf
+from .constraints import _norm
 from .image import load_f64img, save_f64img
 from .kl import PoissonData
 
@@ -169,10 +170,10 @@ def relative_error(x, x_star):
     x_star = np.asarray(x_star, dtype=np.float64)
     if x_star.shape != np.shape(x):
         raise ValueError("image dimensions do not match")
-    denom = float(np.linalg.norm(x_star))
+    denom = _norm(x_star)
     if denom == 0:
         raise ValueError("reference image has zero norm")
-    return float(np.linalg.norm(x - x_star)) / denom
+    return _norm(x - x_star) / denom
 
 
 def _convolve_valid(a, g):

@@ -218,10 +218,16 @@ def test_adjoint_identity_random_pairs():
 
 def test_fft_apply_matches_dense_circulant():
     # Odd and non-square grids check that the half-spectrum inverse
-    # transforms get the grid shape.
-    shapes = ((8, 8), (7, 9), (9, 8))
-    psfs = (gaussian_psf(3, 1.0), motion_psf(5, 45.0), disk_psf(1.5))
+    # transforms get the grid shape; single rows and columns check the
+    # one-point transforms along the other axis.
+    shapes = ((8, 8), (7, 9), (9, 8), (9, 11), (8, 13), (1, 9), (1, 12),
+              (9, 1), (12, 1))
+    row = Psf(np.array([[0.2, 0.5, 0.3]]))     # asymmetric: A^T != A
+    psfs = (gaussian_psf(3, 1.0), motion_psf(5, 45.0), disk_psf(1.5), row,
+            Psf(row.kernel.T))
     for (r, s), psf in itertools.product(shapes, psfs):
+        if psf.kernel.shape[0] > r or psf.kernel.shape[1] > s:
+            continue
         op = BlurOperator(psf, r, s)
         a = dense_matrix(op)
         rng = np.random.default_rng(4)
@@ -233,6 +239,20 @@ def test_fft_apply_matches_dense_circulant():
         # Doubly stochastic: rows and columns sum to one.
         assert np.allclose(a.sum(axis=0), 1.0, atol=1e-10)
         assert np.allclose(a.sum(axis=1), 1.0, atol=1e-10)
+
+
+def test_results_survive_later_applies():
+    # The spectrum buffer is reused by every call; the results are not.
+    op = BlurOperator(motion_psf(5, 30.0), 12, 15)
+    rng = np.random.default_rng(5)
+    x, y, z = rng.random((3, 12, 15))
+    ax = op.apply(x)
+    ay = op.apply(y)
+    aty = op.apply_adjoint(z)
+    assert not np.shares_memory(ax, ay)
+    assert np.array_equal(ax, op.apply(x))
+    assert np.array_equal(ay, op.apply(y))
+    assert np.array_equal(aty, op.apply_adjoint(z))
 
 
 def test_operator_shape_guards():

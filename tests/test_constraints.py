@@ -412,6 +412,22 @@ def test_kernel_matches_sort_scan_on_large_inputs():
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_unit_weights_match_the_weighted_path_bit_for_bit():
+    # Unit weights run as counts, with v as the breakpoints; the sums of
+    # ones are exact and v / 1 is v, so the weighted path with a metric
+    # of ones gives the same bits.
+    x, grad, v, _ = large_inputs()
+    s2 = FeasibleSet.nonneg_flux(float(x.sum()))
+    for w in (v, 1e3 * v, v[:1, :37]):
+        ones = DiagonalMetric(np.ones_like(w), 1.0, 1.0)
+        assert np.array_equal(s2.project(w), s2.project_weighted(ones, w))
+    assert np.array_equal(s2.projected_gradient(x, grad),
+                          _project_flux(-grad, np.ones_like(x), 0.0, x == 0))
+    # A column-major input (as images read from files are) still gives a
+    # C-ordered result, the blur's layout, as the weighted path does.
+    assert s2.project(np.asfortranarray(v)).flags.c_contiguous
+
+
 def test_kernel_pass_count_is_logarithmic(monkeypatch):
     x, grad, v, d = large_inputs()
     passes = []

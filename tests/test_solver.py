@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -586,3 +589,46 @@ def test_tracked_solve_leaves_no_thread_running(method):
     with pytest.raises(Interrupt):
         tracked_run(method, interrupt)
     assert threading.active_count() == baseline
+
+
+# A 128x128 phantom: large enough that a BLAS dot product would split
+# its sum over threads.  ACQUIRE 6 outer iterations and SGP 30, capped
+# by count, from the observed start.
+THREAD_RUN = """
+import sys
+import numpy as np
+from poissontv.blur import gaussian_psf
+from poissontv.constraints import FeasibleSet
+from poissontv.solver import AcquireConfig, acquire_solve, sgp_restore
+from poissontv.testbed import make_problem, shepp_logan
+
+problem = make_problem(shepp_logan(128), gaussian_psf(9, 2.0), snr_db=35.0,
+                       seed=7)
+data, feasible = problem.data(), FeasibleSet.nonneg_flux(
+    float(problem.observed.sum() - problem.scaled_background
+          * problem.observed.size))
+runs = []
+for solve, iters in ((acquire_solve, 6), (sgp_restore, 30)):
+    config = AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=iters,
+                           max_time=float("inf"))
+    x, trace = solve(data, feasible, problem.observed, config)
+    assert len(trace.iters) == iters
+    runs.append(x)
+np.save(sys.argv[1], np.stack(runs))
+"""
+
+
+def test_iterates_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Dot products and norms on the solver path are summed outside BLAS,
+    # whose summation order follows its thread count.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"x{threads}.npy"
+        subprocess.run([sys.executable, "-c", THREAD_RUN, str(out)],
+                       env=env, check=True, timeout=300)
+        results.append(np.load(out))
+    assert np.array_equal(results[0], results[1])

@@ -302,12 +302,21 @@ def test_mssim_dimension_guard():
 
 
 def test_package_import_leaves_scipy_signal_unloaded():
-    # MSSIM filters with numpy; scipy.signal alone doubles the resident
-    # size of a CLI process (about 54 to 103 MB).
+    # MSSIM filters and the blur transforms with numpy, so neither the
+    # import nor a solve loads any part of scipy: scipy.signal alone
+    # doubles the resident size of a CLI process (about 54 to 103 MB),
+    # and scipy.fft adds about 27 MB.
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
-    code = ("import sys, poissontv, poissontv.cli, poissontv.testbed; "
-            "print('scipy.signal' in sys.modules)")
+    code = ("import sys, poissontv, poissontv.cli, poissontv.testbed\n"
+            "from poissontv import AcquireConfig, FeasibleSet, acquire_solve,"
+            " gaussian_psf\n"
+            "from poissontv.testbed import make_problem, shepp_logan\n"
+            "p = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)\n"
+            "acquire_solve(p.data(), FeasibleSet.nonneg(), p.observed,\n"
+            "              AcquireConfig(lam=1e-2, max_outer_iters=3,\n"
+            "                            track_mssim=True), p.ground_truth)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.check_output([sys.executable, "-c", code], env=env)
-    assert out.decode().strip() == "False"
+    assert out.decode().strip() == "[]"
