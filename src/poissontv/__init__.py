@@ -8,7 +8,6 @@ line-search solver (``acquire``) together with a test-problem generator
 and benchmark CLI.
 """
 
-from .image import from_vector
 from .blur import Psf, BlurOperator, gaussian_psf, motion_psf, disk_psf
 from .kl import PoissonData, kl_value, kl_gradient, kl_hessian_vec, KlQuadraticModel
 from .tv import (
@@ -23,7 +22,6 @@ from .sgp import SteplengthState, sgp_solve
 from .solver import AcquireConfig, SolverTrace, acquire_solve, sgp_restore
 
 __all__ = [
-    "from_vector",
     "Psf",
     "BlurOperator",
     "gaussian_psf",

@@ -315,21 +315,21 @@ def cmd_solve(args):
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     method = _method_list(cfg["method"])[0]
-    x, trace = run_method(method, cfg, problem, tol, track_mssim=True)
-    trace.write_csv(os.path.join(out, "trace.csv"))
-    save_restored(out, "restored", x)
-    idx = int(np.argmin(trace.rel_error))
+    # A one-tolerance sweep: its row ends where the run itself stopped.
+    [row] = sweep_rows(method, cfg, problem, [tol])
+    row["_trace"].write_csv(os.path.join(out, "trace.csv"))
+    save_restored(out, "restored", row["_restored"])
     write_meta(os.path.join(out, "meta.json"), cfg, problem, extra={
         "tol_used": tol,
-        "iters": trace.iters[-1],
-        "min_rel_err": trace.rel_error[idx],
-        "mssim_at_min": trace.mssim[idx],
-        "time_s": trace.time_s[-1],
+        "iters": row["iters"],
+        "min_rel_err": row["min_rel_err"],
+        "mssim_at_min": row["mssim"],
+        "time_s": row["time_s"],
     })
     print(f"{method} {problem_label(cfg)} tol={tol:g}: "
-          f"min rel err {trace.rel_error[idx]:.4g}, "
-          f"mssim {trace.mssim[idx]:.4g}, "
-          f"{trace.iters[-1]} iters, {trace.time_s[-1]:.2f} s")
+          f"min rel err {row['min_rel_err']:.4g}, "
+          f"mssim {row['mssim']:.4g}, "
+          f"{row['iters']} iters, {row['time_s']:.2f} s")
     return 0
 
 

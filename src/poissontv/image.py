@@ -1,10 +1,10 @@
 """Image container conventions and file I/O.
 
-An image is a 2D float64 numpy array of shape (r, s) with nonnegative
-intensities in arbitrary photon-count units.  The vectorized form stacks
-the columns: x[i] = X[k, l] with i = l*r + k (0-based), i.e. Fortran
-order, so that per-pixel difference stencils can be written against the
-index map literally.  All boundary handling is periodic.
+An image is a C-ordered 2D float64 numpy array of shape (r, s) with
+nonnegative intensities in arbitrary photon-count units.  F64IMG files
+store the columns one after another (column-major); `load_f64img`
+returns a C-ordered copy, like every array the program makes, so that
+elementwise work never mixes strides.  All boundary handling is periodic.
 """
 
 import struct
@@ -14,18 +14,10 @@ import numpy as np
 F64IMG_MAGIC = b"F64IMG"
 
 
-def from_vector(v, r, s):
-    """Reshape a column-stacked vector into an (r, s) image."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != r * s:
-        raise ValueError(f"vector of length {v.size} does not match {r}x{s}")
-    return v.reshape((r, s), order="F")
-
-
 def save_f64img(path, image):
     """Write a lossless raw float64 image: magic, r, s (uint32 LE), data.
 
-    Data is stored column-major (the vectorization order).
+    Data is stored column-major.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -38,6 +30,7 @@ def save_f64img(path, image):
 
 
 def load_f64img(path):
+    """Read an F64IMG file as a C-ordered (r, s) float64 image."""
     with open(path, "rb") as fh:
         magic = fh.read(len(F64IMG_MAGIC))
         if magic != F64IMG_MAGIC:
@@ -46,7 +39,7 @@ def load_f64img(path):
         data = np.frombuffer(fh.read(8 * r * s), dtype="<f8")
         if data.size != r * s:
             raise ValueError(f"{path}: truncated F64IMG payload")
-        return from_vector(data.astype(np.float64), r, s)
+        return data.reshape(s, r).T.astype(np.float64, order="C")
 
 
 def save_pgm(path, image, maxval=255):

@@ -75,8 +75,8 @@ def kl_gradient(data, x, ax=None):
 
 
 def kl_hessian_vec(data, x, v):
-    t = data.forward(x)
-    return data.op.apply_adjoint(data.y / (t * t) * data.op.apply(v))
+    """A^T U(x)^2 A v, through the model the solver runs."""
+    return KlQuadraticModel(data, x, 0.0).hessian_vec(v)
 
 
 class KlQuadraticModel:

@@ -1,15 +1,16 @@
 """Scaled gradient projection with adaptive Barzilai-Borwein steplengths.
 
-Used both as the inner solver for the per-iteration quadratic models and
-as a standalone baseline on the smoothed objective.  The steplength
-state (a short ring buffer of recent BB2-type steps plus the adaptive
-switching threshold) survives across solver invocations so consecutive
-calls do not restart from scratch.
+`sgp_direction` is one scaled gradient-projection step and `armijo` the
+one backtracking line search.  `sgp_solve` runs them on the quadratic
+models of ACQUIRE's inner solves; the standalone SGP baseline takes the
+same direction and search in the outer loop of `solver.py`.  The
+steplength state (a short ring buffer of recent BB2-type steps plus the
+adaptive switching threshold) survives across solver invocations so
+consecutive calls do not restart from scratch.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-import time
 
 import numpy as np
 
@@ -141,6 +142,49 @@ def abbmin_steplength(state, metric, z=None, g=None):
     return clamp(nu_bb1)
 
 
+def armijo(trial, f_ref, slope, eta, delta):
+    """The one backtracking search: the first rho of 1, delta, delta^2, ...
+    with trial(rho) <= f_ref + eta rho slope, as (rho, trial(rho)).
+
+    After MAX_BACKTRACKS backtracks it returns None where the last step's
+    predicted decrease is below the round-off resolution of f_ref (no
+    resolvable progress remains along the direction), else raises.
+    """
+    rho = 1.0
+    f_new = trial(rho)
+    backtracks = 0
+    while f_new > f_ref + eta * rho * slope:
+        backtracks += 1
+        if backtracks > MAX_BACKTRACKS:
+            if abs(rho * slope) <= 1e-12 * max(abs(f_ref), 1e-30):
+                return None
+            raise RuntimeError(
+                f"line search exhausted after {MAX_BACKTRACKS} backtracks "
+                f"(f_ref {f_ref:.17g}, slope {slope:.6g}, last step "
+                f"{rho:.6g}): value and gradient are inconsistent")
+        rho *= delta
+        f_new = trial(rho)
+    return rho, f_new
+
+
+def sgp_direction(feasible_set, z, g, state, scaled):
+    """(d, g'd) for the scaled step d = P_C(z - nu C g) - z, projected in
+    the metric C = `scaling_matrix(z)` with the ABBmin steplength nu; None
+    where g'd >= 0 (z is stationary for the scaled step).  `scaled` is
+    work space shaped like z; d is fresh.
+    """
+    metric = scaling_matrix(z)
+    nu = abbmin_steplength(state, metric, z, g)
+    # The scaled trial point z - nu d g, formed in place.
+    np.multiply(nu, metric.d, out=scaled)
+    scaled *= g
+    np.subtract(z, scaled, out=scaled)
+    direction = feasible_set.project_weighted(metric, scaled)
+    direction -= z
+    slope = _dot(g, direction)
+    return None if slope >= 0 else (direction, slope)
+
+
 @dataclass
 class SgpTrace:
     iterations: int = 0
@@ -149,120 +193,55 @@ class SgpTrace:
 
 
 def sgp_solve(model, feasible_set, z0, state, max_iters,
-              stop_norm_target=None, stop=None, max_time=None,
-              monitor=None):
-    """Run scaled gradient projection on a convex model over a feasible set.
+              stop_norm_target=None):
+    """Run scaled gradient projection on a quadratic model (`value`,
+    `gradient`, `hessian_vec`) over a feasible set; returns (z, SgpTrace).
 
-    Stops when the projected-gradient norm reaches `stop_norm_target`
-    after at least one step (a loose target that returned z0 would give
-    the outer solver a zero step, which ends its run as if converged),
-    when `stop(rel_change)` holds after an accepted step (see
-    `RelChangeStop`), on the iteration / wall-time caps, or where the
-    scaled step leaves z in place.  Every iterate is feasible and the
-    objective sequence is monotone (Armijo sufficient decrease on each
-    accepted step).  `monitor(k, z, f, rel_change, pg_norm)` sees each
-    accepted iterate, with the projected-gradient norm of the iterate it
-    was stepped from.
+    One Hessian action H d per iteration gives the line-search trial
+    values exactly (from the one-dimensional restriction) and the next
+    gradient by the recurrence g + rho H d, as in Bonettini, Zanella &
+    Zanni (2009).  Stops when the projected-gradient norm reaches
+    `stop_norm_target` after at least one step (a loose target that
+    returned z0 would give the outer solver a zero step, which ends its
+    run as if converged), on the iteration cap, or where the scaled step
+    leaves z in place.  Every iterate is feasible and the model values
+    are monotone (Armijo sufficient decrease against the current value).
 
     The solver writes into the arrays that `hessian_vec` and
     `project_weighted` return, so those must be fresh; it never writes
-    into z0, a returned or monitored iterate, or a gradient.
+    into z0, a returned iterate, or a gradient.
     """
     state.begin_call()
     z = np.asarray(z0, dtype=np.float64)
-    # Quadratic models expose their Hessian action H.  One action H d
-    # per iteration then gives the line-search trial values exactly
-    # (from the one-dimensional restriction) and the next gradient by
-    # the recurrence g + rho H d, as in Bonettini, Zanella & Zanni
-    # (2009).  Other models may expose `line(z, direction)`, a cheaper
-    # evaluator of rho -> value(z + rho * direction).
-    hessian_vec = getattr(model, "hessian_vec", None)
-    line = getattr(model, "line", None)
     scaled = np.empty_like(z)
-    start = time.perf_counter()
     f_z = model.value(z)
-    g = model.gradient(z)       # gradient at z; None while stale
+    g = model.gradient(z)
     trace = SgpTrace(start_gradient=g)
-    stopped_at_z = False
     for _ in range(max_iters):
-        if g is None:
-            g = model.gradient(z)
-        pg_norm = feasible_set.pg_norm(z, g)
+        trace.final_pg_norm = feasible_set.pg_norm(z, g)
         if (stop_norm_target is not None and trace.iterations > 0
-                and pg_norm <= stop_norm_target):
-            stopped_at_z = True
+                and trace.final_pg_norm <= stop_norm_target):
             break
-        metric = scaling_matrix(z)
-        nu = abbmin_steplength(state, metric, z, g)
-        # The scaled trial point z - nu d g, formed in place.
-        np.multiply(nu, metric.d, out=scaled)
-        scaled *= g
-        np.subtract(z, scaled, out=scaled)
-        direction = feasible_set.project_weighted(metric, scaled)
-        direction -= z
-        slope = _dot(g, direction)
-        if slope >= 0:
-            # Projection returned the current point (stationary for the
-            # scaled step); nothing more to gain.
-            stopped_at_z = True
+        found = sgp_direction(feasible_set, z, g, state, scaled)
+        if found is None:
             break
-        rho = 1.0
-        backtracks = 0
-        if hessian_vec is not None:
-            hd = hessian_vec(direction)
-            curv = _dot(direction, hd)
-            trial = lambda rho: f_z + rho * slope + 0.5 * rho * rho * curv
-        elif line is not None:
-            trial = line(z, direction)
-        else:
-            trial = lambda rho: model.value(z + rho * direction)
-        f_new = trial(rho)
-        while f_new > f_z + BETA_LS * rho * slope:
-            backtracks += 1
-            if backtracks > MAX_BACKTRACKS:
-                if abs(rho * slope) <= 1e-12 * max(abs(f_z), 1e-30):
-                    # The last trial step's predicted decrease is below
-                    # the round-off resolution of the objective value:
-                    # no resolvable progress remains along this
-                    # direction, so treat the iterate as stationary to
-                    # working precision.
-                    stopped_at_z = True
-                    break
-                raise RuntimeError(
-                    f"SGP line search exhausted after {MAX_BACKTRACKS} "
-                    f"backtracks (slope {slope:.6g}, last rho {rho:.6g}): "
-                    "model value and gradient are inconsistent")
-            rho *= BACKTRACK
-            f_new = trial(rho)
-        if stopped_at_z:
+        direction, slope = found
+        hd = model.hessian_vec(direction)
+        curv = _dot(direction, hd)
+        step = armijo(lambda rho: f_z + rho * slope + 0.5 * rho * rho * curv,
+                      f_z, slope, BETA_LS, BACKTRACK)
+        if step is None:
             break
+        rho, f_z = step
         # The state keeps z and g: the step and the recurrence below
         # write only into this iteration's direction and H d.
         state.record(z, g)
         direction *= rho
-        z_new = np.add(z, direction, out=direction)
-        if stop is not None or monitor is not None:
-            rel_change = relative_change(z_new, z)
-        z = z_new
-        f_z = f_new
-        if hessian_vec is not None:
-            hd *= rho
-            hd += g
-            g = hd
-        else:
-            # Other models evaluate it when next needed: at the next
-            # pass or at exit.
-            g = None
+        z = np.add(z, direction, out=direction)
+        hd *= rho
+        hd += g
+        g = hd
         trace.iterations += 1
-        if monitor is not None:
-            monitor(trace.iterations, z, f_z, rel_change, pg_norm)
-        if stop is not None and stop(rel_change):
-            break
-        if max_time is not None and time.perf_counter() - start >= max_time:
-            break
-    if not stopped_at_z:
-        if g is None:
-            g = model.gradient(z)
-        pg_norm = feasible_set.pg_norm(z, g)
-    trace.final_pg_norm = pg_norm
+    else:                       # the cap: the norm at the last iterate
+        trace.final_pg_norm = feasible_set.pg_norm(z, g)
     return z, trace

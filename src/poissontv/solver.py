@@ -1,15 +1,16 @@
 """Outer quadratic-model line-search solver and the standalone SGP baseline.
 
-Each outer iteration assembles a strongly convex quadratic model of the
-smoothed objective (second-order Taylor model of the KL term plus the
-reweighted TV surrogate), solves it inexactly with scaled gradient
-projection, and takes a nonmonotone Armijo step along the resulting
-direction.
+Both run one outer loop, `_line_search_run`, and differ only in their
+direction, Armijo window and constants, and stop rule.  ACQUIRE's
+direction solves a strongly convex quadratic model of the smoothed
+objective (second-order Taylor model of the KL term plus the reweighted
+TV surrogate) inexactly with scaled gradient projection, and its Armijo
+step is nonmonotone.  The SGP baseline's is one scaled gradient-projection
+step, searched monotonically.
 """
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 import csv
@@ -21,7 +22,8 @@ import numpy as np
 from .constraints import _dot
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
-from .sgp import RelChangeStop, SteplengthState, relative_change, sgp_solve
+from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState, armijo,
+                  relative_change, sgp_direction, sgp_solve)
 from .testbed import MssimReference, relative_error
 
 # Consecutive iterations the relative-change criterion must hold before
@@ -29,9 +31,6 @@ from .testbed import MssimReference, relative_error
 # the adaptive steplength rule (buffer length 3 plus the recovery step
 # on either side), so transient tiny-step bursts do not end the run.
 SGP_STOP_PATIENCE = 7
-
-# Backtracks the outer nonmonotone line search makes before it gives up.
-MAX_LINE_SEARCH = 60
 
 
 def stop_rule(method, tol):
@@ -89,7 +88,7 @@ class SolverTrace:
         "iters": None,
         "objective": None,
         "rel_change": None,
-        "alpha": 1.0,                    # outer step length
+        "alpha": 1.0,                    # accepted Armijo step
         "inner_iters": 0,
         "pg_norm": None,                 # of F_k at the inner solution
         "rel_error": None,               # vs ground truth, or nan
@@ -182,57 +181,16 @@ def _mssim(score):
     return score.result()
 
 
-@contextmanager
-def _recorder(config, ground_truth, on_iterate, start):
-    """A solve's trace and the one function both solvers record an
-    iterate with: it adds the error, MSSIM and time since `start`, then
-    calls `on_iterate(k, x, rel_change)`.
-
-    MSSIM is scored on one worker thread that the solve owns, while the
-    solver goes on: recording an iterate first waits for the previous
-    iterate's score, so at most one is in flight, and the last one is
-    waited for on leaving the block.  The worker reads x after `record`
-    returns, so no one may write into a recorded iterate.
-    """
-    trace = SolverTrace()
-    # The truth's side of MSSIM is filtered once per solve.
-    reference = (MssimReference(ground_truth)
-                 if config.track_mssim and ground_truth is not None else None)
-    pool = None if reference is None else ThreadPoolExecutor(1)
-    scoring = []                # the last row's MSSIM, while in flight
-
-    def settle():
-        if scoring:
-            trace.mssim[-1] = _mssim(scoring.pop())
-
-    def record(k, x, objective, rel_change, pg_norm, **row):
-        rel_error = _rel_error(x, ground_truth)
-        settle()
-        trace.append(iters=k, objective=objective, rel_change=rel_change,
-                     pg_norm=pg_norm, rel_error=rel_error,
-                     mssim=float("nan"),
-                     time_s=time.perf_counter() - start, **row)
-        if pool is not None:
-            scoring.append(pool.submit(reference, x))
-        if on_iterate is not None:
-            on_iterate(k, x, rel_change)
-    try:
-        yield trace, record
-        settle()
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
 def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
                   on_iterate=None):
     """Run the outer solver; returns (restored image, trace).
 
     x0 is projected onto the feasible set before use.  Stops on relative
-    iterate change <= config.tol, the outer iteration cap, or the
-    wall-clock budget.  `on_iterate(k, x, rel_change)` sees each iterate
-    and must not write into x: with `config.track_mssim`, a worker thread
-    may still be scoring it.
+    iterate change <= config.tol, the outer iteration cap, the wall-clock
+    budget, or a line search stalled at round-off.
+    `on_iterate(k, x, rel_change)` sees each iterate and must not write
+    into x: with `config.track_mssim`, a worker thread may still be
+    scoring it.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
@@ -240,59 +198,33 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     # current iterate, so the outer line search applies A once (A d) and
     # the next model is built from the cached A x.
     objective = _SmoothObjective(data, config.lam, config.mu)
-    f_x = objective.value(x)
-    f_hist = deque([f_x], maxlen=config.memory)
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
-    stop = stop_rule("acquire", config.tol)
     # Reference norm for the inner stopping rule, fixed once per run.  At
     # the first iteration the model gradient at the start equals the true
     # gradient, so this is the model's projected-gradient norm at x^(0);
     # keeping it fixed makes the threshold sequence exactly geometric.
     ref_norm = feasible_set.pg_norm(x, objective.gradient(x))
-    recording = _recorder(config, ground_truth, on_iterate, start)
-    with recording as (trace, record):
-        for k in range(1, config.max_outer_iters + 1):
-            model = OuterModel(data, x, config.lam, config.mu, config.gamma,
-                               objective.blurred(x))
-            target = config.theta**k * ref_norm
-            x_hat, inner = sgp_solve(model, feasible_set, x, state,
-                                     max_iters=inner_cap,
-                                     stop_norm_target=target)
-            d = x_hat - x
-            # The inner solve starts at x, where the model gradient equals
-            # the true one.
-            slope = _dot(inner.start_gradient, d)
-            f_ref = max(f_hist)
-            alpha = 1.0
-            trial = objective.line(x, d)
-            f_trial = trial(alpha)
-            backtracks = 0
-            while f_trial > f_ref + config.eta * alpha * slope:
-                backtracks += 1
-                if backtracks > MAX_LINE_SEARCH:
-                    raise RuntimeError(
-                        f"outer line search at iteration {k}: no Armijo "
-                        f"step within {MAX_LINE_SEARCH} backtracks "
-                        f"(f_ref {f_ref:.17g}, slope {slope:.6g}, last "
-                        f"alpha {alpha:.6g})")
-                alpha *= config.delta
-                f_trial = trial(alpha)
-            x_new = x + alpha * d
-            rel_change = relative_change(x_new, x)
-            x = x_new
-            f_x = f_trial
-            f_hist.append(f_x)
-            record(k, x, f_x, rel_change, inner.final_pg_norm, alpha=alpha,
-                   inner_iters=inner.iterations, inner_target=target,
-                   inner_ref_norm=ref_norm,
-                   inner_cap_hit=inner.iterations >= inner_cap
-                   and inner.final_pg_norm > target)
-            if stop(rel_change):
-                break
-            if time.perf_counter() - start >= config.max_time:
-                break
-    return x, trace
+
+    def direction(k, x):
+        model = OuterModel(data, x, config.lam, config.mu, config.gamma,
+                           objective.blurred(x))
+        target = config.theta**k * ref_norm
+        x_hat, inner = sgp_solve(model, feasible_set, x, state,
+                                 max_iters=inner_cap, stop_norm_target=target)
+        d = x_hat - x
+        # The inner solve starts at x, where the model gradient equals
+        # the true one.
+        return d, _dot(inner.start_gradient, d), dict(
+            pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
+            inner_target=target, inner_ref_norm=ref_norm,
+            inner_cap_hit=inner.iterations >= inner_cap
+            and inner.final_pg_norm > target)
+
+    return _line_search_run(objective, x, direction, config.memory,
+                            config.eta, config.delta,
+                            stop_rule("acquire", config.tol), config, start,
+                            ground_truth, on_iterate)
 
 
 class _SmoothObjective:
@@ -341,18 +273,93 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
                 on_iterate=None):
     """Standalone SGP baseline on the smoothed objective.
 
-    Uses the same steplength/scaling machinery as the inner solver, with
-    the iteration cap lifted and the SGP relative-change stop (see
-    `stop_rule`).  `on_iterate` is called as in `acquire_solve`, and must
-    not write into x either.
+    Each direction is one step of the inner solver (`sgp_direction`), with
+    a monotone search.  Stops as `acquire_solve` does, with the SGP
+    relative-change stop (see `stop_rule`), or where the scaled step
+    leaves x in place.  `on_iterate` is called as in `acquire_solve`, and
+    must not write into x either.
     """
     start = time.perf_counter()
-    x0 = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    recording = _recorder(config, ground_truth, on_iterate, start)
-    with recording as (trace, record):
-        x, _ = sgp_solve(_SmoothObjective(data, config.lam, config.mu),
-                         feasible_set, x0, SteplengthState(),
-                         max_iters=config.max_outer_iters,
-                         stop=stop_rule("sgp", config.tol),
-                         max_time=config.max_time, monitor=record)
+    x = feasible_set.project(np.asarray(x0, dtype=np.float64))
+    objective = _SmoothObjective(data, config.lam, config.mu)
+    state = SteplengthState()
+    scaled = np.empty_like(x)
+
+    def direction(k, x):
+        g = objective.gradient(x)
+        # Before the direction: a non-finite iterate fails here.
+        pg_norm = feasible_set.pg_norm(x, g)
+        found = sgp_direction(feasible_set, x, g, state, scaled)
+        if found is None:
+            return None
+        state.record(x, g)
+        d, slope = found
+        return d, slope, dict(pg_norm=pg_norm)
+
+    return _line_search_run(objective, x, direction, 1, BETA_LS, BACKTRACK,
+                            stop_rule("sgp", config.tol), config, start,
+                            ground_truth, on_iterate)
+
+
+def _line_search_run(objective, x, direction, window, eta, delta, stop,
+                     config, start, ground_truth, on_iterate):
+    """The outer loop of both solvers, from feasible x; returns (x, trace).
+
+    Iteration k takes (d, slope, trace columns) from `direction(k, x)`,
+    or ends the run on None, and steps x + alpha d, formed in the fresh
+    d, with `armijo` against the largest of the last `window` objective
+    values.  It records the iterate with its error, MSSIM and time since
+    `start`, and calls `on_iterate(k, x, rel_change)`.  Stops on
+    `stop(rel_change)`, the iteration cap, the wall clock, or a search
+    that stalls at round-off.
+
+    MSSIM is scored on one worker thread that the run owns, while the
+    solver goes on: recording an iterate first waits for the previous
+    iterate's score, so at most one is in flight, and the last one is
+    waited for before returning.  The worker reads x after it is
+    recorded, so no one may write into a recorded iterate.
+    """
+    f_hist = deque([objective.value(x)], maxlen=window)
+    trace = SolverTrace()
+    # The truth's side of MSSIM is filtered once per solve.
+    reference = (MssimReference(ground_truth)
+                 if config.track_mssim and ground_truth is not None else None)
+    pool = None if reference is None else ThreadPoolExecutor(1)
+    scoring = []                # the last row's MSSIM, while in flight
+
+    def settle():
+        if scoring:
+            trace.mssim[-1] = _mssim(scoring.pop())
+    try:
+        for k in range(1, config.max_outer_iters + 1):
+            found = direction(k, x)
+            if found is None:
+                break
+            d, slope, row = found
+            step = armijo(objective.line(x, d), max(f_hist), slope, eta,
+                          delta)
+            if step is None:
+                break
+            alpha, f_x = step
+            d *= alpha
+            x_new = np.add(x, d, out=d)
+            rel_change = relative_change(x_new, x)
+            x = x_new
+            f_hist.append(f_x)
+            rel_error = _rel_error(x, ground_truth)
+            settle()
+            trace.append(iters=k, objective=f_x, rel_change=rel_change,
+                         alpha=alpha, rel_error=rel_error, mssim=float("nan"),
+                         time_s=time.perf_counter() - start, **row)
+            if pool is not None:
+                scoring.append(pool.submit(reference, x))
+            if on_iterate is not None:
+                on_iterate(k, x, rel_change)
+            if (stop(rel_change)
+                    or time.perf_counter() - start >= config.max_time):
+                break
+        settle()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return x, trace

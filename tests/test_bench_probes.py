@@ -40,11 +40,23 @@ def test_every_probe_resolves_to_an_owned_function():
 
 
 def test_layer_timings_import_and_call_patterns():
-    load_bench_module("layers")
-    from poissontv.sgp import SteplengthState, sgp_solve
-    SteplengthState()
+    from poissontv.blur import gaussian_psf
+    from poissontv.constraints import FeasibleSet
+    from poissontv.sgp import sgp_solve
+    from poissontv.testbed import make_problem, shepp_logan
+
     # The tracer reads the inner stop target from this keyword.
     assert "stop_norm_target" in inspect.signature(sgp_solve).parameters
+    # `--trace 1` calls the layer timings with a workload's last two
+    # iterates; a changed signature among the functions they call fails
+    # here.
+    problem = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)
+    feasible = FeasibleSet.nonneg()
+    x_prev = feasible.project(problem.observed)
+    timings = load_bench_module("layers").isolated_timings(
+        problem.data(), feasible, x_prev, 0.9 * x_prev + 0.01,
+        problem.ground_truth, 6e-3, 1e-2, 1e-5)
+    assert timings and all(t >= 0.0 for t in timings.values())
 
 
 def test_mssim_is_timed_once_per_recorded_iterate(monkeypatch):

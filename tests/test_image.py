@@ -1,36 +1,6 @@
 import numpy as np
-import pytest
 
-from poissontv.image import (from_vector, load_f64img, load_pgm, save_f64img,
-                             save_pgm)
-
-
-def test_vectorization_is_column_major():
-    # X[k, l] with rows k, columns l; stacking the columns gives
-    # (1, 2, 3, 4) for X = [[1, 3], [2, 4]].
-    x = from_vector(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-    assert x.tolist() == [[1.0, 3.0], [2.0, 4.0]]
-
-
-def test_vectorization_round_trip():
-    rng = np.random.default_rng(0)
-    x = rng.random((3, 4))
-    assert np.array_equal(from_vector(x.ravel(order="F"), 3, 4), x)
-
-
-def test_vectorization_index_map():
-    rng = np.random.default_rng(1)
-    r, s = 5, 7
-    v = rng.random(r * s)
-    x = from_vector(v, r, s)
-    for k in range(r):
-        for l in range(s):
-            assert x[k, l] == v[l * r + k]
-
-
-def test_from_vector_length_guard():
-    with pytest.raises(ValueError):
-        from_vector(np.zeros(5), 2, 2)
+from poissontv.image import load_f64img, load_pgm, save_f64img, save_pgm
 
 
 def test_f64img_round_trip(tmp_path):

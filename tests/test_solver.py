@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from poissontv import solver
+from poissontv import sgp, solver
 from poissontv.blur import gaussian_psf
 from poissontv.constraints import FeasibleSet
 from poissontv.kl import kl_gradient, kl_value
@@ -237,20 +237,7 @@ def test_sgp_restore_decreases_objective_and_error():
     assert min(trace.rel_error) < start_err
 
 
-class ValueGradientOnly:
-    """The smoothed objective without the cached line-search path."""
-
-    def __init__(self, data):
-        self.data = data
-
-    def value(self, x):
-        return objective_value(self.data, x, LAM, 1e-2)
-
-    def gradient(self, x):
-        return objective_gradient(self.data, x, LAM, 1e-2)
-
-
-def test_cached_line_search_matches_direct_evaluation():
+def test_cached_line_search_matches_direct_evaluation(monkeypatch):
     problem = toy_problem()
     data = problem.data()
     feasible = FeasibleSet.nonneg()
@@ -263,23 +250,24 @@ def test_cached_line_search_matches_direct_evaluation():
         return apply(x)
 
     data.op.apply = counted_apply
-    cached_values, direct_values = [], []
-
-    def solve(model, values):
-        return sgp_solve(model, feasible, x0, SteplengthState(),
-                         max_iters=40, stop_norm_target=0.0,
-                         monitor=lambda k, z, f, *_: values.append(f))
-
-    za, ta = solve(_SmoothObjective(data, LAM, 1e-2), cached_values)
+    config = toy_config(tol=0.0, max_outer_iters=40)
+    za, ta = sgp_restore(data, feasible, x0, config)
     cached_applies = len(applies)
-    zb, tb = solve(ValueGradientOnly(data), direct_values)
-    assert ta.iterations == tb.iterations == 40
+
+    def direct_line(self, z, direction):
+        # Every trial evaluated from scratch, with its own A (z + rho d).
+        return lambda rho: objective_value(self.data, z + rho * direction,
+                                           self.lam, self.mu)
+
+    monkeypatch.setattr(_SmoothObjective, "line", direct_line)
+    zb, tb = sgp_restore(data, feasible, x0, config)
+    assert len(ta.iters) == len(tb.iters) == 40
     assert np.linalg.norm(za - zb) <= 1e-12 * np.linalg.norm(zb)
-    assert cached_values == pytest.approx(direct_values, rel=1e-12)
+    assert ta.objective == pytest.approx(tb.objective, rel=1e-12)
     # One apply at the start, then one (A d) per iteration, however many
     # trials the line search makes.
-    assert cached_applies == 1 + ta.iterations
-    assert len(applies) - cached_applies > 2 * tb.iterations
+    assert cached_applies == 1 + len(ta.iters)
+    assert len(applies) - cached_applies > 2 * len(tb.iters)
 
 
 def test_acquire_blur_calls_per_outer_iteration():
@@ -351,12 +339,14 @@ def test_model_results_are_fresh_and_inputs_untouched():
 
 
 class RecordCheckingState(SteplengthState):
-    """Steplength state that checks its recorded pair is never written."""
+    """Steplength state that checks its recorded pair is never written,
+    and keeps every iterate it records with a copy."""
 
     def record(self, z, g):
         self.check()
         super().record(z, g)
         self.recorded = (z.copy(), g.copy())
+        self.seen = getattr(self, "seen", []) + [(z, z.copy())]
 
     def check(self):
         if self.prev_z is not None:
@@ -366,48 +356,126 @@ class RecordCheckingState(SteplengthState):
 
 @pytest.mark.parametrize("feasible", [FeasibleSet.nonneg(), None],
                          ids=["s1", "s2"])
-def test_sgp_step_writes_only_arrays_it_owns(feasible):
-    # sgp_solve forms its step and gradient recurrence in place: the
-    # recorded (z, g) pair, every monitored iterate, the start and the
-    # returned iterate must keep their values across later steps and a
-    # later call that shares the state, as in ACQUIRE's inner solves.
+def test_sgp_step_writes_only_arrays_it_owns(feasible, monkeypatch):
+    # sgp_solve and the outer loop form their steps (and the inner
+    # gradient recurrence) in place: the recorded (z, g) pair, every
+    # recorded or reported iterate, the start and the returned iterate
+    # must keep their values across later steps and a later call that
+    # shares the state, as in ACQUIRE's inner solves.
     problem = toy_problem()
     data = problem.data()
     feasible = feasible or FeasibleSet.nonneg_flux(problem.flux)
     x = np.full_like(problem.observed, problem.flux / problem.observed.size)
     x_kept = x.copy()
     state = RecordCheckingState()
-    seen = []
-
-    def monitor(k, z, f, rel_change, pg_norm):
-        state.check()
-        seen.append((z, z.copy()))
-
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
-    z1, inner = sgp_solve(model, feasible, x, state,
-                          max_iters=15, monitor=monitor)
+    z1, inner = sgp_solve(model, feasible, x, state, max_iters=15)
     z1_kept = z1.copy()
     start_gradient = inner.start_gradient.copy()
-    z2, _ = sgp_solve(OuterModel(data, z1, LAM, 1e-2, 1e-5), feasible, z1,
-                      state, max_iters=15, monitor=monitor)
-    assert len(seen) == 30
+    sgp_solve(OuterModel(data, z1, LAM, 1e-2, 1e-5), feasible, z1, state,
+              max_iters=15)
+    state.check()
+    assert len(state.seen) == 30 and state.seen[15][0] is z1
     assert np.array_equal(x, x_kept) and np.array_equal(z1, z1_kept)
     assert np.array_equal(inner.start_gradient, start_gradient)
-    assert all(np.array_equal(z, kept) for z, kept in seen)
-    assert z2 is seen[-1][0]
+    assert all(np.array_equal(z, kept) for z, kept in state.seen)
+
+    monkeypatch.setattr(solver, "SteplengthState", RecordCheckingState)
+    reported = []
+    x_out, _ = sgp_restore(data, feasible, x, toy_config(
+        tol=0.0, max_outer_iters=15),
+        on_iterate=lambda k, z, rel_change: reported.append((z, z.copy())))
+    assert len(reported) == 15 and x_out is reported[-1][0]
+    assert np.array_equal(x, x_kept)
+    assert all(np.array_equal(z, kept) for z, kept in reported)
 
 
 def test_outer_line_search_failure_explains_itself(monkeypatch):
     # The full step's decrease is about half its linear prediction on a
     # nearly quadratic objective, so with eta = 0.99 it fails the Armijo
-    # test, and no backtracks are allowed.
+    # test, and the outer search may make no backtracks.
     problem = toy_problem()
-    monkeypatch.setattr(solver, "MAX_LINE_SEARCH", 0)
+    armijo = solver.armijo
+
+    def capped(*args):
+        with monkeypatch.context() as patched:
+            patched.setattr(sgp, "MAX_BACKTRACKS", 0)
+            return armijo(*args)
+
+    monkeypatch.setattr(solver, "armijo", capped)
     config = toy_config(eta=0.99, memory=1)
-    with pytest.raises(RuntimeError, match=r"iteration 1: .*f_ref .*slope "
-                       r"-.*last alpha 1\)"):
+    with pytest.raises(RuntimeError, match=r"after 0 backtracks \(f_ref "
+                       r"\S+, slope -\S+, last step 1\): value and "
+                       r"gradient are inconsistent"):
         acquire_solve(problem.data(), FeasibleSet.nonneg(), problem.observed,
                       config)
+
+
+@pytest.mark.parametrize("run", [acquire_solve, sgp_restore],
+                         ids=["acquire", "sgp"])
+def test_line_search_stall_ends_the_run(monkeypatch, run):
+    # A stalled outer search (armijo returns None) ends the run with the
+    # iterates it has, without raising.
+    armijo = solver.armijo
+    calls = []
+
+    def stalling(*args):
+        calls.append(1)
+        return None if len(calls) == 3 else armijo(*args)
+
+    monkeypatch.setattr(solver, "armijo", stalling)
+    problem = toy_problem()
+    reported = []
+    x, trace = run(problem.data(), FeasibleSet.nonneg(), problem.observed,
+                   toy_config(tol=0.0, max_outer_iters=10),
+                   on_iterate=lambda k, z, rel_change: reported.append(z))
+    assert len(trace.iters) == 2 and len(calls) == 3
+    assert x is reported[-1]
+
+
+def test_sgp_rows_record_their_armijo_step(monkeypatch):
+    # Each SGP row holds the accepted step rho, a power of BACKTRACK, and
+    # an objective that passes the monotone Armijo test against the row
+    # before it.
+    searches = []
+    armijo = solver.armijo
+
+    def recorded(trial, f_ref, slope, eta, delta):
+        searches.append((f_ref, slope, eta, delta))
+        return armijo(trial, f_ref, slope, eta, delta)
+
+    monkeypatch.setattr(solver, "armijo", recorded)
+    problem = toy_problem()
+    _, trace = sgp_restore(problem.data(), FeasibleSet.nonneg(),
+                           problem.observed,
+                           toy_config(tol=0.0, max_outer_iters=60))
+    assert len(searches) == len(trace.alpha) == 60
+    previous = searches[0][0]
+    for alpha, f, (f_ref, slope, eta, delta) in zip(
+            trace.alpha, trace.objective, searches):
+        assert (eta, delta) == (sgp.BETA_LS, sgp.BACKTRACK)
+        assert f_ref == previous
+        backtracks = round(np.log(alpha) / np.log(sgp.BACKTRACK))
+        assert alpha == sgp.BACKTRACK**backtracks
+        assert f <= f_ref + eta * alpha * slope
+        previous = f
+    assert min(trace.alpha) < 1.0
+
+
+def test_sgp_restore_ends_on_its_patience_stop():
+    # The baseline stops once SGP_STOP_PATIENCE consecutive relative
+    # changes are <= tol, and not before, well short of its cap.
+    problem = toy_problem()
+    tol = 1e-4
+    _, trace = sgp_restore(problem.data(), FeasibleSet.nonneg(),
+                           problem.observed,
+                           toy_config(tol=tol, max_outer_iters=500))
+    patience = solver.SGP_STOP_PATIENCE
+    calm = [c <= tol for c in trace.rel_change]
+    assert len(calm) < 500
+    assert all(calm[-patience:])
+    assert not any(all(calm[i:i + patience])
+                   for i in range(len(calm) - patience))
 
 
 def test_loose_inner_target_does_not_end_the_run():

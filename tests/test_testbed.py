@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from poissontv.blur import gaussian_psf
+from poissontv.blur import gaussian_psf, motion_psf
 from poissontv.constraints import FeasibleSet
 from poissontv.solver import acquire_solve, AcquireConfig
 from poissontv.testbed import (MssimReference, load_problem, make_problem,
@@ -188,6 +189,21 @@ def test_problem_bundle_round_trip(tmp_path):
     assert np.array_equal(back.psf.kernel, problem.psf.kernel)
     assert back.snr_db == problem.snr_db and back.seed == problem.seed
     assert back.flux == pytest.approx(problem.flux, rel=1e-14)
+
+
+def test_loaded_bundle_is_c_ordered_and_keeps_its_flux(tmp_path):
+    # F64IMG files are column-major, but loaded images are C-ordered like
+    # every array the solvers make, so the flux a loaded bundle sums is
+    # the one recorded at generation: a column-major copy summed 1 ulp
+    # off on this problem.
+    problem = make_problem(shepp_logan(256), motion_psf(11, 45.0), 35.0, 5)
+    save_problem(problem, tmp_path)
+    back = load_problem(tmp_path)
+    with open(tmp_path / "meta.json") as fh:
+        meta = json.load(fh)
+    for image in (back.observed, back.ground_truth, back.psf.kernel):
+        assert image.flags.c_contiguous
+    assert back.flux == meta["flux"] == problem.flux
 
 
 # -------------------------------------------------------------- metrics
