@@ -128,8 +128,7 @@ class BlurOperator:
     irfft along rows, told the grid width (which odd widths need), into
     a fresh result.  So `apply` and `apply_adjoint` return new arrays
     and allocate no other image-sized temporary.  Because of the shared
-    buffer, one operator must not be applied from two threads at once
-    (the solvers' MSSIM worker thread never blurs).
+    buffer, one operator must not be applied from two threads at once.
     """
 
     def __init__(self, psf, r, s):

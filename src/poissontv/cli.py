@@ -24,11 +24,13 @@ import sys
 import numpy as np
 
 from .blur import gaussian_psf, motion_psf, disk_psf
+from . import solver
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
 from .solver import AcquireConfig, acquire_solve, sgp_restore, stop_rule
-from .testbed import (PHANTOM_MIN_SIZE, load_problem, make_problem,
-                      save_problem, shepp_logan)
+from .testbed import (PHANTOM_MIN_SIZE, MssimReference, load_problem,
+                      make_problem, relative_error, save_problem,
+                      shepp_logan)
 
 DEFAULTS = {
     "problem": "phantom",       # built-in name, image file, or bundle dir
@@ -145,19 +147,12 @@ def validate_config(cfg):
         raise ConfigError("field 'blur': must be gaussian, motion or disk")
     if cfg["start"] not in ("auto", "observed", "flat"):
         raise ConfigError("field 'start': must be auto, observed or flat")
-    methods = _method_list(cfg["method"])
-    if not methods or any(m not in ("acquire", "sgp") for m in methods):
+    if cfg["method"] not in ("acquire", "sgp", "both"):
         raise ConfigError("field 'method': must be acquire, sgp or both")
     try:
         solver_config(cfg, tol[-1])
     except ValueError as exc:
         raise ConfigError(f"solver settings: {exc}")
-
-
-def _method_list(method):
-    if method == "both":
-        return ["acquire", "sgp"]
-    return [m.strip() for m in str(method).split(",") if m.strip()]
 
 
 def build_psf(cfg, shape):
@@ -243,7 +238,7 @@ def starting_guess(cfg, problem):
     return np.full_like(problem.observed, flat)
 
 
-def solver_config(cfg, tol, track_mssim=False):
+def solver_config(cfg, tol):
     # --monotone means memory 1; a memory below 1 is still rejected.
     memory = int(cfg["memory"])
     return AcquireConfig(
@@ -258,15 +253,14 @@ def solver_config(cfg, tol, track_mssim=False):
         tol=tol,
         max_outer_iters=int(cfg["max_iters"]),
         max_time=cfg["max_time"],
-        track_mssim=track_mssim,
     )
 
 
-def run_method(method, cfg, problem, tol, track_mssim=False, on_iterate=None):
+def run_method(method, cfg, problem, tol, on_iterate=None):
     data = problem.data()
     feasible = feasible_set_for(cfg, problem)
     x0 = starting_guess(cfg, problem)
-    config = solver_config(cfg, tol, track_mssim)
+    config = solver_config(cfg, tol)
     run = acquire_solve if method == "acquire" else sgp_restore
     return run(data, feasible, x0, config,
                ground_truth=problem.ground_truth, on_iterate=on_iterate)
@@ -310,11 +304,13 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     cfg = load_config(args)
+    method = cfg["method"]
+    if method == "both":
+        raise ConfigError("solve runs one method; use sweep")
     problem = resolve_problem(cfg)
     tol = min(cfg["tol"])
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    method = _method_list(cfg["method"])[0]
     # A one-tolerance sweep: its row ends where the run itself stopped.
     [row] = sweep_rows(method, cfg, problem, [tol])
     row["_trace"].write_csv(os.path.join(out, "trace.csv"))
@@ -340,22 +336,47 @@ def sweep_rows(method, cfg, problem, tols):
     Stopping on relative change at Tol truncates the (deterministic)
     iterate sequence, so one run at min(Tol) reproduces every run of the
     sweep: the method's own stop rule runs at every tolerance, and the
-    iterate is snapshotted where each one fires.
+    iterate is snapshotted where each one fires.  The hook also keeps
+    the minimum-error iterate so far and scores its MSSIM once for each
+    iterate a row reads; the trace's `mssim` column is nan elsewhere.
     """
     pending = list(tols)        # strictly decreasing
     snapshots = {}
     stops = {tol: stop_rule(method, tol) for tol in tols}
+    # Every image the hook reads, cleared after the run: whoever keeps
+    # the hook must not keep the images too.
+    held = {"truth": problem.ground_truth,
+            "reference": MssimReference(problem.ground_truth),
+            "best": np.empty_like(problem.ground_truth)}
+    best = {"k": 0, "err": math.inf}
+    scores = {}                 # iteration -> MSSIM of that iterate
+
+    def score_best():           # through the module: the tracer times it
+        if best["k"] not in scores:
+            scores[best["k"]] = solver._mssim(held["reference"], held["best"])
 
     def on_iterate(k, x, rel_change):
+        # The solver's own error function, so "strictly below" keeps the
+        # iterate that argmin finds in the trace.
+        err = relative_error(x, held["truth"])
+        if err < best["err"]:
+            best.update(k=k, err=err)
+            np.copyto(held["best"], x)
         for tol in list(pending):
             if stops[tol](rel_change):
                 pending.remove(tol)
                 snapshots[tol] = (k, x.copy())
+                score_best()
 
-    x, trace = run_method(method, cfg, problem, tols[-1],
-                          track_mssim=True, on_iterate=on_iterate)
-    for tol in pending:         # never reached: budget/iteration stop
-        snapshots[tol] = (trace.iters[-1], x.copy())
+    try:
+        x, trace = run_method(method, cfg, problem, tols[-1],
+                              on_iterate=on_iterate)
+        for tol in pending:     # never reached: budget/iteration stop
+            snapshots[tol] = (trace.iters[-1], x.copy())
+        if pending:
+            score_best()
+    finally:
+        held.clear()
     rows = []
     label = problem_label(cfg)
     for tol in tols:
@@ -363,13 +384,14 @@ def sweep_rows(method, cfg, problem, tols):
         k, x_tol = snapshots.pop(tol)
         errs = trace.rel_error[:k]
         idx = int(np.argmin(errs))
+        trace.mssim[idx] = scores[idx + 1]
         rows.append({
             "method": method,
             "problem": label,
             "snr": cfg["snr"],
             "tol": tol,
             "min_rel_err": errs[idx],
-            "mssim": trace.mssim[idx],
+            "mssim": scores[idx + 1],
             "iters": k,
             "time_s": trace.time_s[k - 1],
             "_trace": trace,
@@ -398,7 +420,8 @@ def cmd_sweep(args):
     os.makedirs(out, exist_ok=True)
     tols = cfg["tol"]
     all_rows = []
-    for method in _method_list(cfg["method"]):
+    for method in (["acquire", "sgp"] if cfg["method"] == "both"
+                   else [cfg["method"]]):
         rows = sweep_rows(method, cfg, problem, tols)
         for row in rows:
             tag = f"{method}_tol{_tol_tag(row['tol'])}"

@@ -62,28 +62,35 @@ def load_pgm(path):
     """Read a P5 (binary) or P2 (ASCII) PGM as a float64 image."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    tokens = _pgm_tokens(raw)
-    magic = next(tokens)
-    if magic not in (b"P5", b"P2"):
+    header, end = _pgm_tokens(raw, 4)
+    if not header or header[0] not in (b"P5", b"P2"):
         raise ValueError(f"{path}: not a PGM file")
-    s = int(next(tokens))
-    r = int(next(tokens))
-    maxval = int(next(tokens))
-    if magic == b"P2":
-        data = np.array([int(next(tokens)) for _ in range(r * s)], dtype=np.float64)
+    if len(header) < 4:
+        raise ValueError(f"{path}: truncated PGM")
+    s, r, maxval = map(int, header[1:])
+    if header[0] == b"P2":
+        values, _ = _pgm_tokens(raw, r * s, end)
+        data = np.array([int(v) for v in values], dtype=np.float64)
     else:
-        offset = _pgm_data_offset(raw)
-        dtype = ">u2" if maxval > 255 else "u1"
-        data = np.frombuffer(raw, dtype=dtype, offset=offset, count=r * s)
+        # The payload starts one whitespace byte after the maxval token.
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        payload = raw[end + 1:end + 1 + r * s * dtype.itemsize]
+        data = np.frombuffer(payload, dtype=dtype,
+                             count=len(payload) // dtype.itemsize)
         data = data.astype(np.float64)
+    if data.size < r * s:
+        raise ValueError(f"{path}: truncated PGM")
     return data.reshape((r, s))  # PGM is row-major
 
 
-def _pgm_tokens(raw):
-    """Yield whitespace-separated header/data tokens, skipping # comments."""
-    i = 0
+def _pgm_tokens(raw, count, start=0):
+    """The first `count` whitespace-separated tokens of raw from `start`,
+    skipping # comments, and the offset just past the last one; fewer
+    tokens where raw ends early."""
+    tokens = []
+    i = start
     n = len(raw)
-    while i < n:
+    while i < n and len(tokens) < count:
         c = raw[i : i + 1]
         if c.isspace():
             i += 1
@@ -94,24 +101,6 @@ def _pgm_tokens(raw):
             j = i
             while j < n and not raw[j : j + 1].isspace():
                 j += 1
-            yield raw[i:j]
+            tokens.append(raw[i:j])
             i = j
-
-
-def _pgm_data_offset(raw):
-    """Offset of the binary payload: one whitespace byte after the maxval token."""
-    seen = 0
-    i = 0
-    n = len(raw)
-    while i < n and seen < 4:
-        c = raw[i : i + 1]
-        if c == b"#":
-            while i < n and raw[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            while i < n and not raw[i : i + 1].isspace():
-                i += 1
-            seen += 1
-    return i + 1
+    return tokens, i

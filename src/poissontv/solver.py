@@ -10,7 +10,6 @@ step, searched monotonically.
 """
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 import csv
@@ -24,7 +23,7 @@ from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
 from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState, armijo,
                   relative_change, sgp_direction, sgp_solve)
-from .testbed import MssimReference, relative_error
+from .testbed import relative_error
 
 # Consecutive iterations the relative-change criterion must hold before
 # the standalone SGP run stops: wide enough to span one full cycle of
@@ -57,7 +56,6 @@ class AcquireConfig:
     tol: float = 1e-6               # relative-change stopping threshold
     max_outer_iters: int = 10000
     max_time: float = 25.0          # wall-clock budget, seconds
-    track_mssim: bool = False       # per-iteration MSSIM when truth is known
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in
@@ -93,7 +91,7 @@ class SolverTrace:
         "pg_norm": None,                 # of F_k at the inner solution
         "rel_error": None,               # vs ground truth, or nan
         "time_s": None,
-        "mssim": None,                   # optional, else nan
+        "mssim": float("nan"),           # scored by callers, where read
         "inner_target": float("nan"),    # inner stopping thresholds
         "inner_ref_norm": float("nan"),  # projected-gradient norm at x0
         "inner_cap_hit": False,
@@ -172,13 +170,14 @@ def _rel_error(x, ground_truth):
             else relative_error(x, ground_truth))
 
 
-def _mssim(score):
-    """Wait for one iterate's MSSIM, scored on the solve's worker thread.
+def _mssim(reference, x):
+    """MSSIM of x against a `MssimReference`.
 
-    A function of its own so that the benchmark's tracer can time the
-    wait; it runs on the calling thread, once per recorded iterate.
+    The solver scores nothing itself: `cli.sweep_rows` calls this as
+    `solver._mssim`, once per summary row, so that the benchmark's tracer,
+    which wraps it under this name, times each score.
     """
-    return score.result()
+    return reference(x)
 
 
 def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
@@ -189,8 +188,8 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     iterate change <= config.tol, the outer iteration cap, the wall-clock
     budget, or a line search stalled at round-off.
     `on_iterate(k, x, rel_change)` sees each iterate and must not write
-    into x: with `config.track_mssim`, a worker thread may still be
-    scoring it.
+    into x: the solver forms the next step from it, and SGP's steplength
+    state keeps it.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
@@ -308,58 +307,32 @@ def _line_search_run(objective, x, direction, window, eta, delta, stop,
     Iteration k takes (d, slope, trace columns) from `direction(k, x)`,
     or ends the run on None, and steps x + alpha d, formed in the fresh
     d, with `armijo` against the largest of the last `window` objective
-    values.  It records the iterate with its error, MSSIM and time since
+    values.  It records the iterate with its error and time since
     `start`, and calls `on_iterate(k, x, rel_change)`.  Stops on
     `stop(rel_change)`, the iteration cap, the wall clock, or a search
     that stalls at round-off.
-
-    MSSIM is scored on one worker thread that the run owns, while the
-    solver goes on: recording an iterate first waits for the previous
-    iterate's score, so at most one is in flight, and the last one is
-    waited for before returning.  The worker reads x after it is
-    recorded, so no one may write into a recorded iterate.
     """
     f_hist = deque([objective.value(x)], maxlen=window)
     trace = SolverTrace()
-    # The truth's side of MSSIM is filtered once per solve.
-    reference = (MssimReference(ground_truth)
-                 if config.track_mssim and ground_truth is not None else None)
-    pool = None if reference is None else ThreadPoolExecutor(1)
-    scoring = []                # the last row's MSSIM, while in flight
-
-    def settle():
-        if scoring:
-            trace.mssim[-1] = _mssim(scoring.pop())
-    try:
-        for k in range(1, config.max_outer_iters + 1):
-            found = direction(k, x)
-            if found is None:
-                break
-            d, slope, row = found
-            step = armijo(objective.line(x, d), max(f_hist), slope, eta,
-                          delta)
-            if step is None:
-                break
-            alpha, f_x = step
-            d *= alpha
-            x_new = np.add(x, d, out=d)
-            rel_change = relative_change(x_new, x)
-            x = x_new
-            f_hist.append(f_x)
-            rel_error = _rel_error(x, ground_truth)
-            settle()
-            trace.append(iters=k, objective=f_x, rel_change=rel_change,
-                         alpha=alpha, rel_error=rel_error, mssim=float("nan"),
-                         time_s=time.perf_counter() - start, **row)
-            if pool is not None:
-                scoring.append(pool.submit(reference, x))
-            if on_iterate is not None:
-                on_iterate(k, x, rel_change)
-            if (stop(rel_change)
-                    or time.perf_counter() - start >= config.max_time):
-                break
-        settle()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(1, config.max_outer_iters + 1):
+        found = direction(k, x)
+        if found is None:
+            break
+        d, slope, row = found
+        step = armijo(objective.line(x, d), max(f_hist), slope, eta, delta)
+        if step is None:
+            break
+        alpha, f_x = step
+        d *= alpha
+        x_new = np.add(x, d, out=d)
+        rel_change = relative_change(x_new, x)
+        x = x_new
+        f_hist.append(f_x)
+        trace.append(iters=k, objective=f_x, rel_change=rel_change,
+                     alpha=alpha, rel_error=_rel_error(x, ground_truth),
+                     time_s=time.perf_counter() - start, **row)
+        if on_iterate is not None:
+            on_iterate(k, x, rel_change)
+        if stop(rel_change) or time.perf_counter() - start >= config.max_time:
+            break
     return x, trace

@@ -137,6 +137,8 @@ def make_problem(reference, psf, snr_db, seed, background=1e-10,
     plus background (a noiseless surrogate for sanity runs).
     """
     reference = np.asarray(reference, dtype=np.float64)
+    if not np.isfinite(reference).all():
+        raise ValueError("reference image must be finite")
     r, s = reference.shape
     op = BlurOperator(psf, r, s)
     b_total = background * r * s

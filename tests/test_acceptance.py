@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from poissontv import sgp
 from poissontv.blur import BlurOperator, gaussian_psf
 from poissontv.constraints import DiagonalMetric, FeasibleSet
 from poissontv.kl import (KlQuadraticModel, PoissonData, kl_gradient,
@@ -239,12 +240,13 @@ def test_criterion_7_convergence_suite():
                      for a in trace.alpha)
     steps = [dn / a for dn, a in zip(d_norms, trace.alpha)]
     shrink = steps[-1] / steps[0]
-    ok = (pg <= 1e-6 and gll_ok and backtracks <= 60 and shrink <= 1e-6)
+    ok = (pg <= 1e-6 and gll_ok and backtracks < sgp.MAX_BACKTRACKS
+          and shrink <= 1e-6)
     report(7, ok,
            f"8x8 strictly convex instance: final projected-gradient norm "
            f"{pg:.1e} <= 1e-6, every accepted step re-satisfies the "
            f"nonmonotone Armijo test ({gll_ok}), max backtracks "
-           f"{backtracks} <= 60, inner-step norm shrink {shrink:.1e} <= 1e-6")
+           f"{backtracks} < {sgp.MAX_BACKTRACKS}, inner-step norm shrink {shrink:.1e} <= 1e-6")
 
 
 def test_criterion_8_inner_stop_suite():

@@ -90,7 +90,8 @@ def test_abbmin_steplength_budget(images):
 # filtered after the product image is freed: 4.86 (5.78 before).  One
 # filter holds its first pass, its result and one tap scratch; at the
 # peak the call also holds the product image and one earlier result.
-# The score runs on a worker thread beside the solver's own temporaries.
+# The CLI scores once per summary row, inside the solver's hook, while
+# the solver's own temporaries are live.
 def test_mssim_budget(images):
     x, x_prev = images
     reference = MssimReference(x_prev)

@@ -60,26 +60,23 @@ def test_layer_timings_import_and_call_patterns():
 
 
 def test_mssim_is_timed_once_per_recorded_iterate(monkeypatch):
-    # The tracer times per-iterate MSSIM through `poissontv.solver._mssim`.
+    # The tracer times MSSIM through `poissontv.solver._mssim`, which
+    # `cli.sweep_rows` calls through the module, once for each distinct
+    # minimum-error iterate its rows record: at most once per row.
     import numpy as np
+    import poissontv.cli
     from poissontv import solver
-    from poissontv.blur import gaussian_psf
-    from poissontv.constraints import FeasibleSet
-    from poissontv.testbed import make_problem, shepp_logan
 
-    problem = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)
     calls = []
     mssim = solver._mssim
     monkeypatch.setattr(solver, "_mssim",
                         lambda *args: calls.append(1) or mssim(*args))
-    for run in (solver.acquire_solve, solver.sgp_restore):
-        for track in (True, False):
-            calls.clear()
-            config = solver.AcquireConfig(lam=6e-3, tol=0.0,
-                                          max_outer_iters=4,
-                                          track_mssim=track)
-            _, trace = run(problem.data(), FeasibleSet.nonneg(),
-                           problem.observed, config,
-                           ground_truth=problem.ground_truth)
-            assert len(calls) == (len(trace.iters) if track else 0)
-            assert np.isnan(trace.mssim).all() != track
+    cfg = dict(poissontv.cli.DEFAULTS, size=32, snr=30.0, seed=4,
+               max_iters=40)
+    problem = poissontv.cli.resolve_problem(cfg)
+    for method in ("acquire", "sgp"):
+        calls.clear()
+        rows = poissontv.cli.sweep_rows(method, cfg, problem,
+                                        [1e-2, 1e-3, 1e-9])
+        scored = ~np.isnan(rows[0]["_trace"].mssim)
+        assert 1 <= len(calls) == np.count_nonzero(scored) <= len(rows)

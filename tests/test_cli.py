@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import threading
+import types
 import weakref
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 import poissontv.cli
 from poissontv.cli import (DEFAULTS, main, resolve_problem, starting_guess,
                            sweep_rows)
-from poissontv.image import load_f64img
-from poissontv.testbed import load_problem
+from poissontv.image import load_f64img, save_f64img
+from poissontv.testbed import load_problem, mssim
 
 
 def read_csv(path):
@@ -138,6 +140,78 @@ def test_sweep_rows_leave_their_images_to_the_rows(monkeypatch):
     del rows
     assert len(hooks) == 1
     assert [image() is None for image in images] == [True, True]
+    # Nor may the hook hold the truth, its MSSIM statistics or the
+    # minimum-error iterate.
+    assert [a.shape for a in reachable_arrays(hooks[0])] == []
+
+
+def reachable_arrays(fn):
+    """The numpy arrays reachable from fn's closure cells, through
+    containers, closures and instance attributes."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:      # an empty cell
+                    pass
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif not isinstance(obj, (type, types.ModuleType)):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+@pytest.mark.parametrize("method", ["acquire", "sgp"])
+def test_sweep_row_mssim_scores_the_minimum_error_iterate(
+        monkeypatch, method, constraint):
+    # Each row's MSSIM is that of the minimum-error iterate up to the
+    # row's stop, bit for bit, as an independent hook captures it; the
+    # trace's mssim column holds it there and is nan elsewhere.
+    iterates = []
+    solve = poissontv.cli.run_method
+
+    def run_method(*args, on_iterate=None, **kwargs):
+        def capture(k, x, rel_change):
+            iterates.append(x.copy())
+            on_iterate(k, x, rel_change)
+        return solve(*args, on_iterate=capture, **kwargs)
+    monkeypatch.setattr(poissontv.cli, "run_method", run_method)
+    cfg = dict(DEFAULTS, size=32, snr=30.0, seed=4, max_iters=40,
+               constraint=constraint)
+    problem = resolve_problem(cfg)
+    truth = problem.ground_truth
+    rows = sweep_rows(method, cfg, problem, [1e-2, 1e-3, 1e-9])
+    trace = rows[0]["_trace"]
+    assert len(iterates) == len(trace.iters) == 40
+    best = set()
+    for row in rows:
+        idx = int(np.argmin(trace.rel_error[:row["iters"]]))
+        best.add(idx)
+        assert row["mssim"] == mssim(iterates[idx], truth)
+        assert trace.mssim[idx] == row["mssim"]
+    assert {i for i, v in enumerate(trace.mssim) if v == v} == best
+
+
+@pytest.mark.parametrize("method", ["acquire", "sgp"])
+def test_sweep_starts_no_thread(monkeypatch, tmp_path, method):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    assert run("sweep", *BASE, "--method", method, "--lambda", "6e-3",
+               "--tol", "1e-2,1e-3", "--out", str(tmp_path / "sweep")) == 0
+    assert started == []
 
 
 def test_report_shapes(tmp_path):
@@ -225,6 +299,27 @@ def test_invalid_configs_rejected(tmp_path, capsys):
                  '{"max_iters": Infinity}', '{"seed": -Infinity}'):
         cfg.write_text(text)
         assert run("solve", "--config", str(cfg), "--out", out) == 2, text
+    # `solve` runs one method, and "both" used to run only ACQUIRE; a
+    # comma list was an undocumented spelling of "both".
+    capsys.readouterr()
+    assert run("solve", *BASE, "--method", "both", "--out", out) == 2
+    assert "solve runs one method; use sweep" in capsys.readouterr().err
+    for value in ("sgp,acquire", "acquire,"):
+        for verb in ("solve", "sweep"):
+            assert run(verb, *BASE, "--method", value, "--out", out) == 2
+    # A PGM cut off in its payload or its header used to end in a
+    # StopIteration traceback, and a reference image holding NaN in
+    # numpy's "lam value too large".
+    bad = tmp_path / "t.pgm"
+    for text in ("P2\n3 2\n255\n0 1 2\n3\n", "P2\n3", "P5\n3 2\n255\n\x01"):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run("solve", "--problem", str(bad), "--out", out) == 2, text
+        assert "truncated PGM" in capsys.readouterr().err
+    nan_image = tmp_path / "nan.f64img"
+    save_f64img(nan_image, np.full((32, 32), np.nan))
+    assert run("solve", "--problem", str(nan_image), "--out", out) == 2
+    assert "reference image must be finite" in capsys.readouterr().err
     # Config-file values of the wrong type, which used to end in a
     # traceback.
     for user in ({"tol": "abc"}, {"tol": [0.001, "x"]}, {"tol": None},

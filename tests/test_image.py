@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from poissontv.image import load_f64img, load_pgm, save_f64img, save_pgm
 
@@ -50,3 +51,17 @@ def test_pgm_p2_with_comments(tmp_path):
     back = load_pgm(path)
     assert back.shape == (2, 3)
     assert back.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("raw", [
+    b"P2\n3 2\n255\n0 1 2\n3\n",        # P2 payload
+    b"P2\n3",                            # header, after the width
+    b"P5\n3 2\n",                        # header, before the maxval
+    b"P5\n3 2\n255\n\x01\x02\x03\x04",   # P5 payload
+    b"P5\n2 2\n65535\n\x00\x01\x00",     # P5 payload, 16-bit
+])
+def test_truncated_pgm_is_rejected(tmp_path, raw):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated PGM"):
+        load_pgm(path)

@@ -1,8 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from poissontv.solver import (AcquireConfig, OuterModel, SolverTrace,
                               _SmoothObjective, acquire_solve,
                               objective_gradient, objective_value,
                               sgp_restore)
-from poissontv.testbed import MssimReference, make_problem, shepp_logan
+from poissontv.testbed import make_problem, shepp_logan
 from poissontv.tv import TvQuadraticModel, tv_mu_gradient
 
 
@@ -549,7 +547,7 @@ def test_trace_time_monotone_and_csv(tmp_path):
     problem = toy_problem()
     _, trace = acquire_solve(problem.data(), FeasibleSet.nonneg(),
                              problem.observed,
-                             toy_config(max_outer_iters=10, track_mssim=True),
+                             toy_config(max_outer_iters=10),
                              ground_truth=problem.ground_truth)
     assert all(b >= a for a, b in zip(trace.time_s, trace.time_s[1:]))
     path = tmp_path / "trace.csv"
@@ -573,90 +571,6 @@ def test_trace_rows_take_column_defaults():
     with pytest.raises(KeyError, match="bogus"):
         trace.append(iters=2, objective=2.0, rel_change=0.5, pg_norm=0.1,
                      rel_error=0.3, time_s=0.0, mssim=0.0, bogus=1)
-
-
-# ------------------------------------------------ MSSIM on a worker thread
-
-
-SOLVERS = {"acquire": acquire_solve, "sgp": sgp_restore}
-
-
-def tracked_run(method, on_iterate=None, constraint="s1", iters=6):
-    """A short MSSIM-tracked solve on a 32^2 phantom."""
-    problem = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)
-    feasible = (FeasibleSet.nonneg() if constraint == "s1"
-                else FeasibleSet.nonneg_flux(problem.flux))
-    config = AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=iters,
-                           track_mssim=True)
-    _, trace = SOLVERS[method](problem.data(), feasible, problem.observed,
-                               config, ground_truth=problem.ground_truth,
-                               on_iterate=on_iterate)
-    return problem, trace
-
-
-@pytest.mark.parametrize("constraint", ["s1", "s2"])
-@pytest.mark.parametrize("method", ["acquire", "sgp"])
-def test_tracked_mssim_scores_each_recorded_iterate(method, constraint):
-    # The worker scores x_k after `record` has returned: its score must
-    # be that of the iterate the solver recorded, bit for bit.
-    iterates = []
-    problem, trace = tracked_run(
-        method, lambda k, x, rel_change: iterates.append(x.copy()),
-        constraint)
-    reference = MssimReference(problem.ground_truth)
-    assert len(iterates) == len(trace.iters) == 6
-    assert trace.mssim == [reference(x) for x in iterates]
-
-
-@pytest.mark.parametrize("method", ["acquire", "sgp"])
-def test_mssim_is_waited_for_on_the_solving_thread(monkeypatch, method):
-    # The tracer keeps one span stack for all threads, so `_mssim`, which
-    # it times, must run on the thread that solves.
-    threads = []
-    wait = solver._mssim
-    monkeypatch.setattr(
-        solver, "_mssim",
-        lambda score: threads.append(threading.current_thread())
-        or wait(score))
-    _, trace = tracked_run(method)
-    assert threads == [threading.current_thread()] * len(trace.iters)
-
-
-@pytest.mark.parametrize("method", ["acquire", "sgp"])
-def test_at_most_one_iterate_awaits_its_score(monkeypatch, method):
-    # A slow score: were the solver not to wait for the previous one,
-    # unscored iterates would pile up behind it.
-    score = MssimReference.__call__
-    scored = []
-
-    def slow_score(self, x):
-        time.sleep(0.01)
-        scored.append(score(self, x))
-        return scored[-1]
-    monkeypatch.setattr(MssimReference, "__call__", slow_score)
-    unscored = []
-    _, trace = tracked_run(
-        method, lambda k, x, rel_change: unscored.append(k - len(scored)))
-    assert unscored and set(unscored) <= {0, 1}
-    assert trace.mssim == scored
-
-
-class Interrupt(Exception):
-    pass
-
-
-@pytest.mark.parametrize("method", ["acquire", "sgp"])
-def test_tracked_solve_leaves_no_thread_running(method):
-    baseline = threading.active_count()
-    tracked_run(method)
-    assert threading.active_count() == baseline
-
-    def interrupt(k, x, rel_change):
-        if k == 3:
-            raise Interrupt
-    with pytest.raises(Interrupt):
-        tracked_run(method, interrupt)
-    assert threading.active_count() == baseline
 
 
 # A 128x128 phantom: large enough that a BLAS dot product would split

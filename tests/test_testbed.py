@@ -136,6 +136,15 @@ def test_poisson_mean_and_variance():
 # ------------------------------------------------------------- problems
 
 
+def test_make_problem_rejects_a_non_finite_reference():
+    # NaN used to reach the Poisson sampler ("lam value too large").
+    for bad in (math.nan, math.inf):
+        reference = shepp_logan(32)
+        reference[3, 4] = bad
+        with pytest.raises(ValueError, match="reference image must be finite"):
+            make_problem(reference, gaussian_psf(5, 1.0), 30.0, seed=1)
+
+
 def test_make_problem_unit_max_and_flux_bookkeeping():
     problem = make_problem(shepp_logan(64), gaussian_psf(9, 2.0),
                            snr_db=30.0, seed=5)
@@ -327,11 +336,12 @@ def test_package_import_leaves_scipy_signal_unloaded():
     code = ("import sys, poissontv, poissontv.cli, poissontv.testbed\n"
             "from poissontv import AcquireConfig, FeasibleSet, acquire_solve,"
             " gaussian_psf\n"
-            "from poissontv.testbed import make_problem, shepp_logan\n"
+            "from poissontv.testbed import make_problem, mssim, shepp_logan\n"
             "p = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)\n"
-            "acquire_solve(p.data(), FeasibleSet.nonneg(), p.observed,\n"
-            "              AcquireConfig(lam=1e-2, max_outer_iters=3,\n"
-            "                            track_mssim=True), p.ground_truth)\n"
+            "x, _ = acquire_solve(p.data(), FeasibleSet.nonneg(), p.observed,\n"
+            "                     AcquireConfig(lam=1e-2, max_outer_iters=3),\n"
+            "                     p.ground_truth)\n"
+            "mssim(x, p.ground_truth)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.check_output([sys.executable, "-c", code], env=env)
