@@ -10,13 +10,7 @@ and benchmark CLI.
 
 from .blur import Psf, BlurOperator, gaussian_psf, motion_psf, disk_psf
 from .kl import PoissonData, kl_value, kl_gradient, kl_hessian_vec, KlQuadraticModel
-from .tv import (
-    tv_value,
-    huber,
-    tv_mu_value,
-    tv_mu_gradient,
-    TvQuadraticModel,
-)
+from .tv import tv_mu_value, tv_mu_gradient, TvQuadraticModel
 from .constraints import FeasibleSet, DiagonalMetric
 from .sgp import SteplengthState, sgp_solve
 from .solver import AcquireConfig, SolverTrace, acquire_solve, sgp_restore
@@ -32,8 +26,6 @@ __all__ = [
     "kl_gradient",
     "kl_hessian_vec",
     "KlQuadraticModel",
-    "tv_value",
-    "huber",
     "tv_mu_value",
     "tv_mu_gradient",
     "TvQuadraticModel",

@@ -58,6 +58,31 @@ def gaussian_psf(size, sigma):
     return Psf(k / k.sum())
 
 
+def _segment_pixels(length, angle_deg, supersample, ends=False):
+    """Pixel offsets (iy, ix) of a motion segment's midpoint samples, or
+    with `ends` of its end samples alone, and the largest offset m, which
+    the ends hold: the offsets are monotone along the segment."""
+    if not (np.isfinite(length) and length >= 1):
+        raise ValueError("length must be finite and >= 1")
+    if not np.isfinite(angle_deg):
+        raise ValueError("angle must be finite")
+    theta = np.deg2rad(angle_deg)
+    # Angle measured counterclockwise from the horizontal axis; rows grow
+    # downward, hence the sign flip on the vertical component.
+    dx, dy = np.cos(theta), -np.sin(theta)
+    nsamp = max(int(round(supersample * length)), 2)
+    i = np.array([0, nsamp - 1.0]) if ends else np.arange(nsamp) * 1.0
+    t = (i + 0.5) / nsamp * length - length / 2.0
+    iy, ix = np.rint(t * dy).astype(int), np.rint(t * dx).astype(int)
+    return iy, ix, max(int(np.abs(ix).max()), int(np.abs(iy).max()))
+
+
+def motion_support(length, angle_deg, supersample=64):
+    """Side of `motion_psf`'s kernel, found without building it."""
+    *_, m = _segment_pixels(length, angle_deg, supersample, ends=True)
+    return 2 * m + 1
+
+
 def motion_psf(length, angle_deg, supersample=64):
     """Linear-motion kernel: a unit-mass line segment rasterized to pixels.
 
@@ -65,43 +90,42 @@ def motion_psf(length, angle_deg, supersample=64):
     the given angle, and is sampled at `supersample` points per unit
     length (midpoint rule) before binning to the pixel grid.
     """
-    if not (np.isfinite(length) and length >= 1):
-        raise ValueError("length must be finite and >= 1")
-    if not np.isfinite(angle_deg):
-        raise ValueError("angle must be finite")
-    if length == 1:
-        return Psf(np.ones((1, 1)))
-    theta = np.deg2rad(angle_deg)
-    # Angle measured counterclockwise from the horizontal axis; rows grow
-    # downward, hence the sign flip on the vertical component.
-    dx, dy = np.cos(theta), -np.sin(theta)
-    nsamp = max(int(round(supersample * length)), 2)
-    t = (np.arange(nsamp) + 0.5) / nsamp * length - length / 2.0
-    px = t * dx
-    py = t * dy
-    ix = np.rint(px).astype(int)
-    iy = np.rint(py).astype(int)
-    m = max(int(np.abs(ix).max()), int(np.abs(iy).max()))
-    size = 2 * m + 1
-    k = np.zeros((size, size))
+    iy, ix, m = _segment_pixels(length, angle_deg, supersample)
+    k = np.zeros((2 * m + 1, 2 * m + 1))
     np.add.at(k, (iy + m, ix + m), 1.0)
     return Psf(k / k.sum())
+
+
+def _subpixels(centers, supersample):
+    """Subpixel center coordinates, one row per pixel center."""
+    sub = (np.arange(supersample) + 0.5) / supersample - 0.5
+    return np.asarray(centers, dtype=np.float64)[:, None] + sub[None, :]
+
+
+def disk_support(radius, supersample=33):
+    """Side of `disk_psf`'s kernel, found without building it: of the
+    rows the kernel keeps where the disk covers a subpixel, only the rows
+    m and m - 1 from the center can miss (by the kernel's own test), and
+    the center row holds the other axis's smallest squared coordinate."""
+    if not (radius > 0 and np.isfinite(radius * radius)):
+        raise ValueError("radius must be positive and finite")
+    m = int(np.ceil(radius + 0.5))
+    sq = _subpixels([m, -m, m - 1, 1 - m, 0], supersample) ** 2
+    covered = sq.min(axis=1) + sq.min() <= radius**2
+    return 2 * int(m - 2 + covered[:2].any() + covered[2:4].any()) + 1
 
 
 def disk_psf(radius, supersample=33):
     """Out-of-focus kernel: per-pixel area fraction covered by a disk.
 
-    Coverage is estimated on a supersample x supersample subpixel grid.
+    Coverage is estimated on a supersample x supersample subpixel grid;
+    the border rows and columns it leaves empty are trimmed (a radius
+    below half a pixel leaves a delta).
     """
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be positive and finite")
+    side = disk_support(radius, supersample)
     m = int(np.ceil(radius + 0.5))
     size = 2 * m + 1
-    sub = (np.arange(supersample) + 0.5) / supersample - 0.5
-    centers = np.arange(size, dtype=np.float64) - m
-    # Subpixel center coordinates for every pixel along one axis.
-    coords = centers[:, None] + sub[None, :]  # (size, supersample)
-    xx = coords.reshape(-1)
+    xx = _subpixels(np.arange(size) - m, supersample).reshape(-1)
     d2 = xx[:, None] ** 2 + xx[None, :] ** 2
     inside = (d2 <= radius**2).astype(np.float64)
     k = inside.reshape(size, supersample, size, supersample).sum(axis=(1, 3))
@@ -109,13 +133,8 @@ def disk_psf(radius, supersample=33):
     total = k.sum()
     if total == 0:
         raise ValueError("disk too small to cover any subpixel")
-    # Trim all-zero border rows/columns (radius < half pixel leaves a delta).
-    nz = np.nonzero(k)
-    lo = min(nz[0].min(), nz[1].min())
-    hi = max(nz[0].max(), nz[1].max())
-    lo = min(lo, size - 1 - hi)
-    k = k[lo : size - lo, lo : size - lo]
-    return Psf(k / total)
+    lo = m - side // 2
+    return Psf(k[lo : size - lo, lo : size - lo] / total)
 
 
 class BlurOperator:

@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .blur import gaussian_psf, motion_psf, disk_psf
+from .blur import (disk_psf, disk_support, gaussian_psf, motion_psf,
+                   motion_support)
 from . import solver
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
@@ -156,16 +157,22 @@ def validate_config(cfg):
 
 
 def build_psf(cfg, shape):
+    """The config's PSF, once its support is known to fit the grid: a
+    kernel too large for it (a disk's subpixel grid grows with the
+    square of its radius) is never built."""
     if cfg["blur"] == "gaussian":
-        size = int(cfg["psf_size"])
-        if size == 0:
-            # Full-image support: the largest odd size fitting the grid.
-            size = min(shape)
-            size -= 1 - size % 2
-        return gaussian_psf(size, cfg["sigma"])
-    if cfg["blur"] == "motion":
-        return motion_psf(cfg["length"], cfg["angle"])
-    return disk_psf(cfg["radius"])
+        # Size 0 is full-image support: the largest odd size that fits.
+        size = int(cfg["psf_size"]) or min(shape) - 1 + min(shape) % 2
+        support, build = size, lambda: gaussian_psf(size, cfg["sigma"])
+    elif cfg["blur"] == "motion":
+        args = cfg["length"], cfg["angle"]
+        support, build = motion_support(*args), lambda: motion_psf(*args)
+    else:
+        support = disk_support(cfg["radius"])
+        build = lambda: disk_psf(cfg["radius"])
+    if support > min(shape):
+        raise ValueError("PSF support exceeds image dimensions")
+    return build()
 
 
 def _bundle_meta(cfg):
@@ -196,25 +203,31 @@ def resolve_problem(cfg):
     """Build or load the test problem named by the config; settings the
     phantom, PSF or observation reject are reported as ConfigError."""
     name = cfg["problem"]
-    if os.path.isdir(name):
-        return load_problem(name)
-    if name != "phantom" and not name.endswith((".pgm", ".f64img")):
+    bundle = os.path.isdir(name)
+    if not (bundle or name == "phantom"
+            or name.endswith((".pgm", ".f64img"))):
         raise ConfigError(f"field 'problem': cannot resolve {name!r} "
                           "(expected 'phantom', a .pgm/.f64img file, or a "
                           "bundle directory)")
     try:
-        if name == "phantom":
-            reference = shepp_logan(int(cfg["size"]), cfg["variant"])
+        if bundle:
+            problem = load_problem(name)
         else:
-            loader = load_pgm if name.endswith(".pgm") else load_f64img
-            reference = loader(name)
-        problem = make_problem(reference, build_psf(cfg, reference.shape),
-                               cfg["snr"], int(cfg["seed"]),
-                               background=cfg["background"])
+            if name == "phantom":
+                reference = shepp_logan(int(cfg["size"]), cfg["variant"])
+            else:
+                loader = load_pgm if name.endswith(".pgm") else load_f64img
+                reference = loader(name)
+            problem = make_problem(reference,
+                                   build_psf(cfg, reference.shape),
+                                   cfg["snr"], int(cfg["seed"]),
+                                   background=cfg["background"])
         problem.data()          # the fidelity term checks the background
     except OSError as exc:
         raise ConfigError(f"field 'problem': cannot read {name}: {exc}")
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"field 'problem': {name} lacks meta entry {exc}")
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"problem settings: {exc}")
     return problem
 

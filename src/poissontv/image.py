@@ -59,7 +59,8 @@ def save_pgm(path, image, maxval=255):
 
 
 def load_pgm(path):
-    """Read a P5 (binary) or P2 (ASCII) PGM as a float64 image."""
+    """Read a P5 (binary) or P2 (ASCII) PGM as a float64 image; its
+    maxval must lie in 1..65535 and bound every sample."""
     with open(path, "rb") as fh:
         raw = fh.read()
     header, end = _pgm_tokens(raw, 4)
@@ -68,6 +69,8 @@ def load_pgm(path):
     if len(header) < 4:
         raise ValueError(f"{path}: truncated PGM")
     s, r, maxval = map(int, header[1:])
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
     if header[0] == b"P2":
         values, _ = _pgm_tokens(raw, r * s, end)
         data = np.array([int(v) for v in values], dtype=np.float64)
@@ -80,6 +83,8 @@ def load_pgm(path):
         data = data.astype(np.float64)
     if data.size < r * s:
         raise ValueError(f"{path}: truncated PGM")
+    if not np.all((data >= 0) & (data <= maxval)):
+        raise ValueError(f"{path}: PGM sample outside 0..{maxval}")
     return data.reshape((r, s))  # PGM is row-major
 
 

@@ -172,6 +172,9 @@ def sgp_direction(feasible_set, z, g, state, scaled):
     the metric C = `scaling_matrix(z)` with the ABBmin steplength nu; None
     where g'd >= 0 (z is stationary for the scaled step).  `scaled` is
     work space shaped like z; d is fresh.
+
+    A returned direction records (z, g) in `state`, by reference: a step
+    from z must write only into fresh arrays, never into z or g.
     """
     metric = scaling_matrix(z)
     nu = abbmin_steplength(state, metric, z, g)
@@ -182,7 +185,10 @@ def sgp_direction(feasible_set, z, g, state, scaled):
     direction = feasible_set.project_weighted(metric, scaled)
     direction -= z
     slope = _dot(g, direction)
-    return None if slope >= 0 else (direction, slope)
+    if slope >= 0:
+        return None
+    state.record(z, g)
+    return direction, slope
 
 
 @dataclass
@@ -233,9 +239,6 @@ def sgp_solve(model, feasible_set, z0, state, max_iters,
         if step is None:
             break
         rho, f_z = step
-        # The state keeps z and g: the step and the recurrence below
-        # write only into this iteration's direction and H d.
-        state.record(z, g)
         direction *= rho
         z = np.add(z, direction, out=direction)
         hd *= rho

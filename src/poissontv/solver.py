@@ -1,7 +1,9 @@
 """Outer quadratic-model line-search solver and the standalone SGP baseline.
 
 Both run one outer loop, `_line_search_run`, and differ only in their
-direction, Armijo window and constants, and stop rule.  ACQUIRE's
+direction, Armijo window and constants, and stop rule.  The loop carries
+A x with the iterate x, so a search along d blurs once (A d) and each
+trial's A x is A x + rho A d; the objective keeps no state.  ACQUIRE's
 direction solves a strongly convex quadratic model of the smoothed
 objective (second-order Taylor model of the KL term plus the reweighted
 TV surrogate) inexactly with scaled gradient projection, and its Armijo
@@ -193,9 +195,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    # The one evaluation path for the objective: it keeps A x of the
-    # current iterate, so the outer line search applies A once (A d) and
-    # the next model is built from the cached A x.
+    ax = data.op.apply(x)
     objective = _SmoothObjective(data, config.lam, config.mu)
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
@@ -203,11 +203,10 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     # the first iteration the model gradient at the start equals the true
     # gradient, so this is the model's projected-gradient norm at x^(0);
     # keeping it fixed makes the threshold sequence exactly geometric.
-    ref_norm = feasible_set.pg_norm(x, objective.gradient(x))
+    ref_norm = feasible_set.pg_norm(x, objective.gradient(x, ax))
 
-    def direction(k, x):
-        model = OuterModel(data, x, config.lam, config.mu, config.gamma,
-                           objective.blurred(x))
+    def direction(k, x, ax):
+        model = OuterModel(data, x, config.lam, config.mu, config.gamma, ax)
         target = config.theta**k * ref_norm
         x_hat, inner = sgp_solve(model, feasible_set, x, state,
                                  max_iters=inner_cap, stop_norm_target=target)
@@ -220,52 +219,25 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
             inner_cap_hit=inner.iterations >= inner_cap
             and inner.final_pg_norm > target)
 
-    return _line_search_run(objective, x, direction, config.memory,
+    return _line_search_run(objective, x, ax, direction, config.memory,
                             config.eta, config.delta,
                             stop_rule("acquire", config.tol), config, start,
                             ground_truth, on_iterate)
 
 
 class _SmoothObjective:
-    """value/gradient callbacks for the smoothed objective itself.
-
-    Keeps A x of the last point it evaluated.  Line-search trials use
-    A(z + rho d) = A z + rho A d, so a backtracking search costs one blur
-    apply however many trials it makes, and the gradient at the accepted
-    point reuses the accepted trial's A x.
-    """
+    """value/gradient callbacks for the smoothed objective at x, given A x."""
 
     def __init__(self, data, lam, mu):
         self.data = data
         self.lam = lam
         self.mu = mu
-        self._x = None
-        self._ax = None
 
-    def blurred(self, x):
-        """A x, from the cache when x is the last point evaluated."""
-        if self._x is None or not np.array_equal(x, self._x):
-            self._x, self._ax = x.copy(), self.data.op.apply(x)
-        return self._ax
+    def value(self, x, ax):
+        return objective_value(self.data, x, self.lam, self.mu, ax)
 
-    def value(self, x):
-        return objective_value(self.data, x, self.lam, self.mu,
-                               self.blurred(x))
-
-    def gradient(self, x):
-        return objective_gradient(self.data, x, self.lam, self.mu,
-                                  self.blurred(x))
-
-    def line(self, z, direction):
-        """rho -> value(z + rho * direction), applying A once (A d)."""
-        az = self.blurred(z)
-        ad = self.data.op.apply(direction)
-
-        def value_at(rho):
-            self._x, self._ax = z + rho * direction, az + rho * ad
-            return objective_value(self.data, self._x, self.lam, self.mu,
-                                   self._ax)
-        return value_at
+    def gradient(self, x, ax):
+        return objective_gradient(self.data, x, self.lam, self.mu, ax)
 
 
 def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
@@ -284,49 +256,57 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     state = SteplengthState()
     scaled = np.empty_like(x)
 
-    def direction(k, x):
-        g = objective.gradient(x)
+    def direction(k, x, ax):
+        g = objective.gradient(x, ax)
         # Before the direction: a non-finite iterate fails here.
         pg_norm = feasible_set.pg_norm(x, g)
         found = sgp_direction(feasible_set, x, g, state, scaled)
         if found is None:
             return None
-        state.record(x, g)
         d, slope = found
         return d, slope, dict(pg_norm=pg_norm)
 
-    return _line_search_run(objective, x, direction, 1, BETA_LS, BACKTRACK,
-                            stop_rule("sgp", config.tol), config, start,
-                            ground_truth, on_iterate)
+    return _line_search_run(objective, x, data.op.apply(x), direction, 1,
+                            BETA_LS, BACKTRACK, stop_rule("sgp", config.tol),
+                            config, start, ground_truth, on_iterate)
 
 
-def _line_search_run(objective, x, direction, window, eta, delta, stop,
+def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
                      config, start, ground_truth, on_iterate):
-    """The outer loop of both solvers, from feasible x; returns (x, trace).
+    """The outer loop of both solvers, from feasible x with its A x;
+    returns (x, trace).
 
-    Iteration k takes (d, slope, trace columns) from `direction(k, x)`,
-    or ends the run on None, and steps x + alpha d, formed in the fresh
-    d, with `armijo` against the largest of the last `window` objective
-    values.  It records the iterate with its error and time since
+    Iteration k takes (d, slope, trace columns) from `direction(k, x, ax)`,
+    or ends the run on None, and searches x + rho d with `armijo` against
+    the largest of the last `window` objective values.  It applies A once
+    per search, to d, and each trial evaluates at its own fresh pair
+    (x + rho d, A x + rho A d); the accepted trial's pair is the next
+    (x, A x).  It records the iterate with its error and time since
     `start`, and calls `on_iterate(k, x, rel_change)`.  Stops on
     `stop(rel_change)`, the iteration cap, the wall clock, or a search
     that stalls at round-off.
     """
-    f_hist = deque([objective.value(x)], maxlen=window)
+    f_hist = deque([objective.value(x, ax)], maxlen=window)
     trace = SolverTrace()
+    trial = None
     for k in range(1, config.max_outer_iters + 1):
-        found = direction(k, x)
+        found = direction(k, x, ax)
         if found is None:
             break
         d, slope, row = found
-        step = armijo(objective.line(x, d), max(f_hist), slope, eta, delta)
+        ad = objective.data.op.apply(d)
+
+        def value_at(rho):
+            nonlocal trial
+            trial = x + rho * d, ax + rho * ad
+            return objective.value(*trial)
+
+        step = armijo(value_at, max(f_hist), slope, eta, delta)
         if step is None:
             break
         alpha, f_x = step
-        d *= alpha
-        x_new = np.add(x, d, out=d)
-        rel_change = relative_change(x_new, x)
-        x = x_new
+        rel_change = relative_change(trial[0], x)
+        x, ax = trial
         f_hist.append(f_x)
         trace.append(iters=k, objective=f_x, rel_change=rel_change,
                      alpha=alpha, rel_error=_rel_error(x, ground_truth),

@@ -61,32 +61,6 @@ def grad_norms(x):
     return _norms_into(*forward_diff(x))
 
 
-def tv_value(x):
-    """Sum of per-pixel gradient magnitudes (isotropic, periodic)."""
-    return float(grad_norms(x).sum())
-
-
-def huber(z, mu):
-    """|z| outside [-mu, mu], quadratic (z^2/mu + mu)/2 inside."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(np.abs(z) > mu, np.abs(z), 0.5 * (z * z / mu + mu))
-
-
-def _huber_sum(norms, mu):
-    """Sum of huber(norms, mu) over nonnegative norms, which it overwrites.
-
-    Uses huber(n) = n + (mu - min(n, mu))^2 / (2 mu): one sum of the
-    norms and one of the squared shortfalls, with no branch mask.
-    """
-    total = float(norms.sum())
-    np.minimum(norms, mu, out=norms)
-    np.subtract(mu, norms, out=norms)
-    np.multiply(norms, norms, out=norms)
-    return total + float(norms.sum()) / (2.0 * mu)
-
-
 def huber_derivative_factor(norm, mu, out=None):
     """Per-pixel factor 1/max(norm, mu) multiplying the stencil term.
 
@@ -98,9 +72,20 @@ def huber_derivative_factor(norm, mu, out=None):
 
 
 def tv_mu_value(x, mu):
+    """Smoothed TV: the sum over pixels of the Huber value of the gradient
+    magnitude n, which is n above mu and (n^2 / mu + mu) / 2 below.
+
+    Summed as n + (mu - min(n, mu))^2 / (2 mu): one sum of the norms and
+    one of the squared shortfalls, with no branch mask.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    return _huber_sum(grad_norms(x), mu)
+    norms = grad_norms(x)
+    total = float(norms.sum())
+    np.minimum(norms, mu, out=norms)
+    np.subtract(mu, norms, out=norms)
+    np.multiply(norms, norms, out=norms)
+    return total + float(norms.sum()) / (2.0 * mu)
 
 
 def tv_mu_gradient(x, mu):
@@ -118,9 +103,10 @@ class TvQuadraticModel:
     """Weighted quadratic surrogate of the smoothed TV, anchored at x_k.
 
     Weights are 1/max(norm, mu) for the anchor's per-pixel gradient
-    magnitudes.  The gradient of the model at the anchor matches the
-    smoothed-TV gradient exactly; the curvature operator is constant and
-    positive semidefinite.
+    magnitudes, and the constant is half the sum of max(norm, mu): the
+    iteratively reweighted norm majorizer.  Its value and gradient at the
+    anchor match the smoothed TV's; the curvature operator is constant
+    and positive semidefinite.
 
     The model owns three image-sized scratch arrays; `value`, `gradient`
     and `hessian_vec` reuse them, and the arrays the latter two return
@@ -132,10 +118,11 @@ class TvQuadraticModel:
             raise ValueError("mu must be positive")
         self._dv, self._dh = forward_diff(x_k)
         self._work = np.empty_like(self._dv)
-        norms = _norms_into(self._dv, self._dh)
+        # A fresh array, not the scratch: value and gradient overwrite that.
+        clamped = np.maximum(_norms_into(self._dv, self._dh), mu)
         self.mu = mu
-        self.weights = huber_derivative_factor(norms, mu)
-        self.constant = 0.5 * _huber_sum(norms, mu)
+        self.constant = 0.5 * float(clamped.sum())
+        self.weights = huber_derivative_factor(clamped, mu, out=clamped)
 
     def value(self, x):
         q = _squares_into(*forward_diff(x, (self._dv, self._dh)))

@@ -80,3 +80,38 @@ def test_mssim_is_timed_once_per_recorded_iterate(monkeypatch):
                                         [1e-2, 1e-3, 1e-9])
         scored = ~np.isnan(rows[0]["_trace"].mssim)
         assert 1 <= len(calls) == np.count_nonzero(scored) <= len(rows)
+
+
+def test_probed_counts_cover_every_evaluation():
+    # `bench/run.py` derives solver.objective_calls_per_iter,
+    # sgp.accept_ratio and solver.unit_step_ratio from the calls to
+    # `poissontv.solver.objective_value` (one at the start, then one per
+    # line-search trial), and kl.hessian_calls_per_iter from those to
+    # `KlQuadraticModel.hessian_vec` (one per inner iteration).  A
+    # refactor that evaluated past these names would skew them.
+    import numpy as np
+    from poissontv import sgp, solver
+    from poissontv.blur import gaussian_psf
+    from poissontv.constraints import FeasibleSet
+    from poissontv.testbed import make_problem, shepp_logan
+
+    problem = make_problem(shepp_logan(32), gaussian_psf(5, 1.0), 30.0, 1)
+    # From the flat start SGP backtracks at three of its first 20 steps.
+    flat = np.full_like(problem.observed, problem.flux / problem.observed.size)
+    config = solver.AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=20,
+                                  max_time=float("inf"))
+    tracing = load_bench_module("tracing")
+    with tracing.probed(True) as probe:
+        _, trace = solver.sgp_restore(problem.data(), FeasibleSet.nonneg(),
+                                      flat, config)
+        trials = [1 + round(np.log(a) / np.log(sgp.BACKTRACK))
+                  for a in trace.alpha]
+        assert len(trials) == 20 and max(trials) > 1
+        assert probe.counts["poissontv.solver.objective_value"] == (
+            1 + sum(trials))
+    with tracing.probed(True) as probe:
+        _, trace = solver.acquire_solve(problem.data(), FeasibleSet.nonneg(),
+                                        problem.observed, config)
+        assert len(trace.iters) == 20 and sum(trace.inner_iters) > 0
+        assert probe.counts["poissontv.kl.KlQuadraticModel.hessian_vec"] == (
+            sum(trace.inner_iters))

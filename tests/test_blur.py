@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from poissontv.blur import (BlurOperator, Psf, disk_psf, gaussian_psf,
-                            motion_psf)
+from poissontv.blur import (BlurOperator, Psf, disk_psf, disk_support,
+                            gaussian_psf, motion_psf, motion_support)
 
 
 def dense_matrix(op):
@@ -128,6 +128,26 @@ def test_generators_reject_non_finite_parameters(bad):
                        (lambda: disk_psf(bad), "radius")):
         with pytest.raises(ValueError, match=name):
             make()
+
+
+def test_support_matches_the_kernel():
+    # The sides the CLI checks against the grid before building a kernel.
+    # Radii m - 1.5 + 1/66 sit where the disk just reaches, or just
+    # misses, the subpixels of the row m - 1 from the center.
+    radii = [0.01, 0.4, 0.5, 1, 2.5, 4, 15.515, 15.516]
+    radii += [m - 1.5 + 1 / 66 + e for m in range(2, 12)
+              for e in (-1e-12, 0.0, 1e-12)]
+    for radius in radii:
+        assert disk_support(radius) == disk_psf(radius).kernel.shape[0]
+    for length in (1, 1.4, 2, 5, 11, 31.7):
+        for angle in (0.0, 30.0, 45.0, 90.0, 137.0, -20.0):
+            assert (motion_support(length, angle)
+                    == motion_psf(length, angle).kernel.shape[0])
+    for bad in (float("nan"), 0.0):
+        with pytest.raises(ValueError, match="radius"):
+            disk_support(bad)
+        with pytest.raises(ValueError, match="length"):
+            motion_support(bad, 45.0)
 
 
 # --------------------------------------------------------------- disk

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import threading
+import tracemalloc
 import types
 import weakref
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import poissontv.cli
-from poissontv.cli import (DEFAULTS, main, resolve_problem, starting_guess,
-                           sweep_rows)
+from poissontv.cli import (DEFAULTS, ConfigError, main, resolve_problem,
+                           starting_guess, sweep_rows)
 from poissontv.image import load_f64img, save_f64img
 from poissontv.testbed import load_problem, mssim
 
@@ -278,6 +279,8 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     for flags in (("--sigma", "-1"), ("--psf-size", "4"),
                   ("--len", "0", "--blur", "motion"),
                   ("--radius", "-2", "--blur", "disk"),
+                  ("--radius", "1e300", "--blur", "disk"),
+                  ("--len", "1e308", "--blur", "motion"),
                   ("--snr", "nan"), ("--snr", "inf"),
                   ("--background", "-1"), ("--background", "0"),
                   ("--background", "nan"), ("--seed", "-1")):
@@ -327,7 +330,59 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         cfg.write_text(json.dumps(user))
         assert run("solve", "--size", "32", "--config", str(cfg),
                    "--out", out) == 2, user
+    # A PGM whose maxval does not bound its samples.
+    bad.write_bytes(b"P2\n2 1\n6\n5 7\n")
+    capsys.readouterr()
+    assert run("solve", "--problem", str(bad), "--out", out) == 2
+    assert "PGM sample outside 0..6" in capsys.readouterr().err
+    # Bundles with a missing image, a malformed or incomplete meta.json,
+    # or a negative scale, which used to end in a traceback.
+    bundle = str(tmp_path / "bundle")
+    assert run("generate", *GEN, "--out", bundle) == 0
+    meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
+    del meta["seed"]
+    for i, (name, text, message) in enumerate((
+            ("observed.f64img", None, "cannot read"),
+            ("meta.json", "{", "problem settings"),
+            ("meta.json", json.dumps(meta), "lacks meta entry 'seed'"),
+            ("meta.json", json.dumps(dict(meta, seed=4, scale=-1)),
+             "background must be positive"))):
+        broken = tmp_path / f"broken{i}"
+        broken.mkdir()
+        for item in os.listdir(bundle):
+            if item != name:
+                (broken / item).write_bytes(
+                    (tmp_path / "bundle" / item).read_bytes())
+        if text is not None:
+            (broken / name).write_text(text)
+        for verb in ("solve", "sweep"):
+            capsys.readouterr()
+            assert run(verb, "--problem", str(broken), "--max-iters", "5",
+                       "--out", out) == 2, (name, verb)
+            assert message in capsys.readouterr().err, (name, verb)
     assert not os.path.exists(out)
+
+
+def test_psf_support_checked_before_the_kernel_is_built():
+    # A disk's kernel keeps the pixel rows whose subpixels it covers: on
+    # a 32 x 32 grid radii below 16 - 16/33 give 31 x 31 kernels, and
+    # larger ones do not fit.
+    cfg = dict(DEFAULTS, size=32, blur="disk", radius=15.515)
+    assert resolve_problem(cfg).psf.kernel.shape == (31, 31)
+    # A rejected support is found without building the kernel: radius
+    # 40 used to trace 121.7 MiB, --psf-size 1001 16.3 MiB.
+    for blur in ({"blur": "disk", "radius": 15.516},
+                 {"blur": "disk", "radius": 40},
+                 {"blur": "gaussian", "psf_size": 1001},
+                 {"blur": "motion", "length": 50.0}):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="PSF support exceeds"):
+                resolve_problem(dict(cfg, **blur))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (blur, peak)
 
 
 def test_solve_from_pgm_file(tmp_path):

@@ -65,3 +65,21 @@ def test_truncated_pgm_is_rejected(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match="truncated PGM"):
         load_pgm(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n2 1\n70000\n\x00\x01\x00\x02", "maxval 70000 outside"),
+    (b"P2\n2 1\n0\n5 7\n", "maxval 0 outside"),
+    (b"P2\n2 1\n6\n5 7\n", "sample outside 0..6"),
+    (b"P2\n2 1\n255\n5 -1\n", "sample outside 0..255"),
+    (b"P5\n2 1\n100\n\x05\xc8", "sample outside 0..100"),
+])
+def test_pgm_maxval_bounds_the_samples(tmp_path, raw, message):
+    # A maxval outside 1..65535 used to load (70000 as 16-bit samples,
+    # 0 as any samples), as did samples above the maxval.
+    path = tmp_path / "m.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message):
+        load_pgm(path)
+    path.write_bytes(b"P2\n2 1\n7\n0 7\n")
+    assert load_pgm(path).tolist() == [[0.0, 7.0]]

@@ -252,12 +252,11 @@ def test_cached_line_search_matches_direct_evaluation(monkeypatch):
     za, ta = sgp_restore(data, feasible, x0, config)
     cached_applies = len(applies)
 
-    def direct_line(self, z, direction):
-        # Every trial evaluated from scratch, with its own A (z + rho d).
-        return lambda rho: objective_value(self.data, z + rho * direction,
-                                           self.lam, self.mu)
-
-    monkeypatch.setattr(_SmoothObjective, "line", direct_line)
+    # Every evaluation ignores the carried A x and applies A itself.
+    monkeypatch.setattr(_SmoothObjective, "value", lambda self, x, ax:
+                        objective_value(self.data, x, self.lam, self.mu))
+    monkeypatch.setattr(_SmoothObjective, "gradient", lambda self, x, ax:
+                        objective_gradient(self.data, x, self.lam, self.mu))
     zb, tb = sgp_restore(data, feasible, x0, config)
     assert len(ta.iters) == len(tb.iters) == 40
     assert np.linalg.norm(za - zb) <= 1e-12 * np.linalg.norm(zb)

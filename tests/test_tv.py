@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
+from poissontv.testbed import shepp_logan
 from poissontv.tv import (TvQuadraticModel, diff_adjoint, forward_diff,
-                          grad_norms, huber, huber_derivative_factor,
-                          tv_mu_gradient, tv_mu_value, tv_value)
+                          grad_norms, huber_derivative_factor,
+                          tv_mu_gradient, tv_mu_value)
+
+
+def tv_value(x):
+    """Plain isotropic TV, the smoothed TV's limit as mu -> 0."""
+    return float(grad_norms(x).sum())
+
+
+def huber(n, mu):
+    """The smoothed TV's Huber value of one gradient magnitude n >= 0: on
+    the stripes [[0, n], [0, n]] all four pixels have magnitude n."""
+    return tv_mu_value(np.array([[0.0, n], [0.0, n]]), mu) / 4
 
 
 def brute_force_diffs(x):
@@ -204,6 +216,18 @@ def test_model_value_tangency_in_large_norm_regime():
     assert np.all(grad_norms(x) > mu)
     model = TvQuadraticModel(x, mu)
     assert model.value(x) == pytest.approx(tv_mu_value(x, mu), rel=1e-10)
+
+
+def test_model_value_tangency_with_small_norms():
+    # Most gradient magnitudes below mu, as on a piecewise-constant
+    # image: the majorizer's constant, half the sum of max(norm, mu),
+    # still makes the model equal the smoothed TV at its anchor.  Half
+    # the sum of Huber values left it 2.5% low here.
+    mu = 1e-2
+    x = shepp_logan(64)
+    assert np.mean(grad_norms(x) < mu) > 0.8
+    model = TvQuadraticModel(x, mu)
+    assert model.value(x) == pytest.approx(tv_mu_value(x, mu), rel=1e-12)
 
 
 def test_model_curvature_spsd():
