@@ -62,8 +62,10 @@ def _segment_pixels(length, angle_deg, supersample, ends=False):
     """Pixel offsets (iy, ix) of a motion segment's midpoint samples, or
     with `ends` of its end samples alone, and the largest offset m, which
     the ends hold: the offsets are monotone along the segment."""
-    if not (np.isfinite(length) and length >= 1):
-        raise ValueError("length must be finite and >= 1")
+    # The offsets reach length / 2, and the integer cast below must hold
+    # them: past 2**63 it would wrap.
+    if not 1 <= length < 2.0**64:
+        raise ValueError("length must lie in [1, 2**64)")
     if not np.isfinite(angle_deg):
         raise ValueError("angle must be finite")
     theta = np.deg2rad(angle_deg)
@@ -148,6 +150,8 @@ class BlurOperator:
     a fresh result.  So `apply` and `apply_adjoint` return new arrays
     and allocate no other image-sized temporary.  Because of the shared
     buffer, one operator must not be applied from two threads at once.
+    The solvers apply it only on the thread that called them: the worker
+    a solve runs beside it computes TV halves, which never blur.
     """
 
     def __init__(self, psf, r, s):

@@ -334,6 +334,7 @@ def cmd_solve(args):
         "min_rel_err": row["min_rel_err"],
         "mssim_at_min": row["mssim"],
         "time_s": row["time_s"],
+        "stop_reason": row["_trace"].stop_reason,
     })
     print(f"{method} {problem_label(cfg)} tol={tol:g}: "
           f"min rel err {row['min_rel_err']:.4g}, "

@@ -9,13 +9,20 @@ objective (second-order Taylor model of the KL term plus the reweighted
 TV surrogate) inexactly with scaled gradient projection, and its Armijo
 step is nonmonotone.  The SGP baseline's is one scaled gradient-projection
 step, searched monotonically.
+
+Every objective value and gradient, model build and Hessian action is
+a KL half plus lam times a TV half, which share nothing but x; a solve
+computes its TV halves on a worker of its own (see `acquire_solve`).
 """
 
 from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+import contextvars
 import csv
 import math
+import os
 import time
 
 import numpy as np
@@ -43,6 +50,43 @@ def stop_rule(method, tol):
     consecutive ones.
     """
     return RelChangeStop(tol, SGP_STOP_PATIENCE if method == "sgp" else 1)
+
+
+class _InlineExecutor(Executor):
+    """Runs each task at `submit`, on the calling thread."""
+
+    def submit(self, fn, /, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_INLINE = _InlineExecutor()
+
+
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_executor():
+    """The executor of one solve's TV halves: one worker thread where the
+    process may run on two or more CPUs; inline on one, where a worker
+    would only add thread switches."""
+    if _usable_cpus() >= 2:
+        return ThreadPoolExecutor(max_workers=1)
+    return _INLINE
+
+
+def _submit(pool, fn, *args):
+    """fn(*args) on `pool`, in a copy of the caller's context, so that
+    the caller's np.errstate holds there too."""
+    return pool.submit(contextvars.copy_context().run, fn, *args)
 
 
 @dataclass
@@ -81,7 +125,9 @@ class SolverTrace:
 
     COLUMNS defines the columns in CSV order, each with the value a row
     that leaves it out records (None: every row must give it).  The CSV
-    holds the first nine, under the names in CSV_COLUMNS.
+    holds the first nine, under the names in CSV_COLUMNS.  `stop_reason`
+    is not a column: the solver sets it to why the run ended, one of
+    "tol", "time", "cap", "stalled" or "stationary".
     """
 
     COLUMNS = {
@@ -103,6 +149,7 @@ class SolverTrace:
     def __init__(self):
         for name in self.COLUMNS:
             setattr(self, name, [])
+        self.stop_reason = None
 
     def append(self, **row):
         """Add one row; a column it leaves out takes its default."""
@@ -129,13 +176,18 @@ class SolverTrace:
 class OuterModel:
     """F_k: quadratic KL model plus lam times the reweighted TV model.
 
-    `ax`, when given, is A x_k (see `KlQuadraticModel`).
+    `ax`, when given, is A x_k (see `KlQuadraticModel`).  The TV halves
+    of the build and of `hessian_vec` run on `pool`; the Hessian action's
+    TV half writes into an array the model owns.
     """
 
-    def __init__(self, data, x_k, lam, mu, gamma, ax=None):
+    def __init__(self, data, x_k, lam, mu, gamma, ax=None, pool=_INLINE):
+        tv = _submit(pool, TvQuadraticModel, x_k, mu)
         self.kl = KlQuadraticModel(data, x_k, gamma, ax)
-        self.tv = TvQuadraticModel(x_k, mu)
+        self.tv = tv.result()
         self.lam = lam
+        self.pool = pool
+        self._tv_hv = np.empty_like(self.kl.x_k)
 
     def value(self, x):
         return self.kl.value(x) + self.lam * self.tv.value(x)
@@ -144,27 +196,30 @@ class OuterModel:
         return _add_scaled(self.kl.gradient(x), self.lam, self.tv.gradient(x))
 
     def hessian_vec(self, v):
-        return _add_scaled(self.kl.hessian_vec(v), self.lam,
-                           self.tv.hessian_vec(v))
+        tv = _submit(self.pool, self.tv.hessian_vec, v, self._tv_hv)
+        return _add_scaled(self.kl.hessian_vec(v), self.lam, tv.result())
 
 
 def _add_scaled(a, lam, b):
-    """a + lam * b, written into a (b is overwritten); both fresh."""
+    """a + lam * b, written into a, which is fresh; b is overwritten."""
     b *= lam
     a += b
     return a
 
 
-def objective_value(data, x, lam, mu, ax=None):
+def objective_value(data, x, lam, mu, ax=None, pool=_INLINE):
     """The smoothed objective: KL divergence plus lam times smoothed TV.
 
-    `ax`, when given, is A x (see `PoissonData.forward`).
+    `ax`, when given, is A x (see `PoissonData.forward`).  The TV half
+    runs on `pool`.
     """
-    return kl_value(data, x, ax) + lam * tv_mu_value(x, mu)
+    tv = _submit(pool, tv_mu_value, x, mu)
+    return kl_value(data, x, ax) + lam * tv.result()
 
 
-def objective_gradient(data, x, lam, mu, ax=None):
-    return _add_scaled(kl_gradient(data, x, ax), lam, tv_mu_gradient(x, mu))
+def objective_gradient(data, x, lam, mu, ax=None, pool=_INLINE):
+    tv = _submit(pool, tv_mu_gradient, x, mu)
+    return _add_scaled(kl_gradient(data, x, ax), lam, tv.result())
 
 
 def _rel_error(x, ground_truth):
@@ -188,56 +243,68 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
 
     x0 is projected onto the feasible set before use.  Stops on relative
     iterate change <= config.tol, the outer iteration cap, the wall-clock
-    budget, or a line search stalled at round-off.
-    `on_iterate(k, x, rel_change)` sees each iterate and must not write
-    into x: the solver forms the next step from it, and SGP's steplength
-    state keeps it.
+    budget, or a line search stalled at round-off; `trace.stop_reason`
+    says which.  `on_iterate(k, x, rel_change)` sees each iterate and
+    must not write into x: the solver forms the next step from it, and
+    SGP's steplength state keeps it.
+
+    The TV halves of every evaluation run on one worker thread that lives
+    as long as the call, where the process may run on two or more CPUs,
+    and inline otherwise; every blur runs on the calling thread.  Either
+    way the iterates are the same bits.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
     ax = data.op.apply(x)
-    objective = _SmoothObjective(data, config.lam, config.mu)
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
-    # Reference norm for the inner stopping rule, fixed once per run.  At
-    # the first iteration the model gradient at the start equals the true
-    # gradient, so this is the model's projected-gradient norm at x^(0);
-    # keeping it fixed makes the threshold sequence exactly geometric.
-    ref_norm = feasible_set.pg_norm(x, objective.gradient(x, ax))
+    with _solve_executor() as pool:
+        objective = _SmoothObjective(data, config.lam, config.mu, pool)
+        # Reference norm for the inner stopping rule, fixed once per run.
+        # At the first iteration the model gradient at the start equals
+        # the true gradient, so this is the model's projected-gradient
+        # norm at x^(0); keeping it fixed makes the threshold sequence
+        # exactly geometric.
+        ref_norm = feasible_set.pg_norm(x, objective.gradient(x, ax))
 
-    def direction(k, x, ax):
-        model = OuterModel(data, x, config.lam, config.mu, config.gamma, ax)
-        target = config.theta**k * ref_norm
-        x_hat, inner = sgp_solve(model, feasible_set, x, state,
-                                 max_iters=inner_cap, stop_norm_target=target)
-        d = x_hat - x
-        # The inner solve starts at x, where the model gradient equals
-        # the true one.
-        return d, _dot(inner.start_gradient, d), dict(
-            pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
-            inner_target=target, inner_ref_norm=ref_norm,
-            inner_cap_hit=inner.iterations >= inner_cap
-            and inner.final_pg_norm > target)
+        def direction(k, x, ax):
+            model = OuterModel(data, x, config.lam, config.mu, config.gamma,
+                               ax, pool)
+            target = config.theta**k * ref_norm
+            x_hat, inner = sgp_solve(model, feasible_set, x, state,
+                                     max_iters=inner_cap,
+                                     stop_norm_target=target)
+            d = x_hat - x
+            # The inner solve starts at x, where the model gradient equals
+            # the true one.
+            return d, _dot(inner.start_gradient, d), dict(
+                pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
+                inner_target=target, inner_ref_norm=ref_norm,
+                inner_cap_hit=inner.iterations >= inner_cap
+                and inner.final_pg_norm > target)
 
-    return _line_search_run(objective, x, ax, direction, config.memory,
-                            config.eta, config.delta,
-                            stop_rule("acquire", config.tol), config, start,
-                            ground_truth, on_iterate)
+        return _line_search_run(objective, x, ax, direction, config.memory,
+                                config.eta, config.delta,
+                                stop_rule("acquire", config.tol), config,
+                                start, ground_truth, on_iterate)
 
 
 class _SmoothObjective:
-    """value/gradient callbacks for the smoothed objective at x, given A x."""
+    """value/gradient callbacks for the smoothed objective at x, given A x;
+    the TV halves run on `pool`."""
 
-    def __init__(self, data, lam, mu):
+    def __init__(self, data, lam, mu, pool):
         self.data = data
         self.lam = lam
         self.mu = mu
+        self.pool = pool
 
     def value(self, x, ax):
-        return objective_value(self.data, x, self.lam, self.mu, ax)
+        return objective_value(self.data, x, self.lam, self.mu, ax, self.pool)
 
     def gradient(self, x, ax):
-        return objective_gradient(self.data, x, self.lam, self.mu, ax)
+        return objective_gradient(self.data, x, self.lam, self.mu, ax,
+                                  self.pool)
 
 
 def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
@@ -248,27 +315,29 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     a monotone search.  Stops as `acquire_solve` does, with the SGP
     relative-change stop (see `stop_rule`), or where the scaled step
     leaves x in place.  `on_iterate` is called as in `acquire_solve`, and
-    must not write into x either.
+    must not write into x either; the TV halves run as there.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
-    objective = _SmoothObjective(data, config.lam, config.mu)
     state = SteplengthState()
     scaled = np.empty_like(x)
+    with _solve_executor() as pool:
+        objective = _SmoothObjective(data, config.lam, config.mu, pool)
 
-    def direction(k, x, ax):
-        g = objective.gradient(x, ax)
-        # Before the direction: a non-finite iterate fails here.
-        pg_norm = feasible_set.pg_norm(x, g)
-        found = sgp_direction(feasible_set, x, g, state, scaled)
-        if found is None:
-            return None
-        d, slope = found
-        return d, slope, dict(pg_norm=pg_norm)
+        def direction(k, x, ax):
+            g = objective.gradient(x, ax)
+            # Before the direction: a non-finite iterate fails here.
+            pg_norm = feasible_set.pg_norm(x, g)
+            found = sgp_direction(feasible_set, x, g, state, scaled)
+            if found is None:
+                return None
+            d, slope = found
+            return d, slope, dict(pg_norm=pg_norm)
 
-    return _line_search_run(objective, x, data.op.apply(x), direction, 1,
-                            BETA_LS, BACKTRACK, stop_rule("sgp", config.tol),
-                            config, start, ground_truth, on_iterate)
+        return _line_search_run(objective, x, data.op.apply(x), direction,
+                                1, BETA_LS, BACKTRACK,
+                                stop_rule("sgp", config.tol), config, start,
+                                ground_truth, on_iterate)
 
 
 def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
@@ -283,8 +352,10 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
     (x + rho d, A x + rho A d); the accepted trial's pair is the next
     (x, A x).  It records the iterate with its error and time since
     `start`, and calls `on_iterate(k, x, rel_change)`.  Stops on
-    `stop(rel_change)`, the iteration cap, the wall clock, or a search
-    that stalls at round-off.
+    `stop(rel_change)` ("tol"), the wall clock ("time"), the iteration
+    cap ("cap"), a search that stalls at round-off ("stalled") or a
+    direction of None ("stationary"), and records which in
+    `trace.stop_reason`.
     """
     f_hist = deque([objective.value(x, ax)], maxlen=window)
     trace = SolverTrace()
@@ -292,6 +363,7 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
     for k in range(1, config.max_outer_iters + 1):
         found = direction(k, x, ax)
         if found is None:
+            trace.stop_reason = "stationary"
             break
         d, slope, row = found
         ad = objective.data.op.apply(d)
@@ -303,6 +375,7 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
 
         step = armijo(value_at, max(f_hist), slope, eta, delta)
         if step is None:
+            trace.stop_reason = "stalled"
             break
         alpha, f_x = step
         rel_change = relative_change(trial[0], x)
@@ -313,6 +386,12 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
                      time_s=time.perf_counter() - start, **row)
         if on_iterate is not None:
             on_iterate(k, x, rel_change)
-        if stop(rel_change) or time.perf_counter() - start >= config.max_time:
+        if stop(rel_change):
+            trace.stop_reason = "tol"
             break
+        if time.perf_counter() - start >= config.max_time:
+            trace.stop_reason = "time"
+            break
+    else:
+        trace.stop_reason = "cap"
     return x, trace

@@ -109,8 +109,8 @@ class TvQuadraticModel:
     and positive semidefinite.
 
     The model owns three image-sized scratch arrays; `value`, `gradient`
-    and `hessian_vec` reuse them, and the arrays the latter two return
-    are fresh.
+    and `hessian_vec` reuse them, and the latter two return a fresh array
+    unless given one to write into.
     """
 
     def __init__(self, x_k, mu):
@@ -129,11 +129,12 @@ class TvQuadraticModel:
         q *= self.weights
         return float(0.5 * q.sum() + self.constant)
 
-    def gradient(self, x):
+    def gradient(self, x, out=None):
+        """The model gradient at x, in `out` when given, else fresh."""
         dv, dh = forward_diff(x, (self._dv, self._dh))
         dv *= self.weights
         dh *= self.weights
-        return diff_adjoint(dv, dh, work=self._work)
+        return diff_adjoint(dv, dh, out=out, work=self._work)
 
     # The model is quadratic: its Hessian action equals the gradient map.
     hessian_vec = gradient

@@ -7,6 +7,7 @@ kernel that brings back per-call temporaries (np.roll copies, masks,
 products formed twice) goes over its budget.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 
 import numpy as np
@@ -44,12 +45,14 @@ def images():
 
 # Measured with the in-place kernels (before them, in parentheses):
 # TV model gradient 1.38 (6.02), value 0.38 (4.00), OuterModel Hessian
-# action 2.38 (7.02; 3.01 while the blur allocated its spectra per call),
-# ABBmin steplength 0.00 with the work arrays its state owns (3.00
-# without them, 4.00 before the in-place products).  The fractions are
-# numpy's iteration buffers over the non-contiguous stencil slices; the
-# Hessian action holds A v, the adjoint's result and the TV term's, while
-# the half spectra live in the blur operator's own buffer.
+# action 2.01 with or without a worker, its TV term written into the
+# model's own array (2.38 with a fresh TV term and no worker, 3.01 with
+# one; 7.02 before the in-place kernels), ABBmin steplength 0.00 with the
+# work arrays its state owns (3.00 without them, 4.00 before the in-place
+# products).  The fractions are numpy's iteration buffers over the
+# non-contiguous stencil slices; the Hessian action holds A v and the
+# adjoint's result, while the half spectra live in the blur operator's
+# own buffer.
 def test_tv_model_budget(images):
     x, x_prev = images
     model = TvQuadraticModel(x, 1e-2)
@@ -61,9 +64,14 @@ def test_outer_hessian_budget(images):
     x, x_prev = images
     op = BlurOperator(gaussian_psf(9, 2.0), N, N)
     data = PoissonData(op.apply(x) + 1e-3, 1e-3, op)
-    model = OuterModel(data, x, 6e-3, 1e-2, 1e-5)
     v = x - x_prev
+    model = OuterModel(data, x, 6e-3, 1e-2, 1e-5)
     assert peak_images(lambda: model.hessian_vec(v)) <= 2.5
+    # With a live worker the TV half runs while the KL half holds A v and
+    # the adjoint's result, so it writes into an array the model owns.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        model = OuterModel(data, x, 6e-3, 1e-2, 1e-5, pool=pool)
+        assert peak_images(lambda: model.hessian_vec(v)) <= 2.5
 
 
 # Measured with the operator's own half-spectrum buffer: 1.00, the

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,14 @@ def test_support_matches_the_kernel():
             disk_support(bad)
         with pytest.raises(ValueError, match="length"):
             motion_support(bad, 45.0)
+    # Offsets past the integer range used to wrap in the cast, with a
+    # RuntimeWarning and a meaningless (negative) side.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert motion_support(1.8e19, 0.0) == 18000000000000000001
+        for bad in (2.0**64, 1e20, 1e308):
+            with pytest.raises(ValueError, match="length"):
+                motion_support(bad, 30.0)
 
 
 # --------------------------------------------------------------- disk

@@ -4,12 +4,14 @@ import os
 import threading
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 import poissontv.cli
+import poissontv.solver
 from poissontv.cli import (DEFAULTS, ConfigError, main, resolve_problem,
                            starting_guess, sweep_rows)
 from poissontv.image import load_f64img, save_f64img
@@ -50,6 +52,8 @@ def test_solve_outputs(tmp_path):
     for key in ("eta", "delta", "memory", "theta", "gamma", "mu",
                 "inner_max_iters", "constraint", "lambda"):
         assert key in meta
+    # The run stopped on its tolerance, before the 40-iteration cap.
+    assert meta["stop_reason"] == "tol" and meta["iters"] < 40
     rows = read_csv(os.path.join(out, "trace.csv"))
     assert rows and set(rows[0]) == {"iter", "objective", "rel_change",
                                      "alpha", "inner_iters", "pg_norm",
@@ -205,14 +209,23 @@ def test_sweep_row_mssim_scores_the_minimum_error_iterate(
 
 
 @pytest.mark.parametrize("method", ["acquire", "sgp"])
-def test_sweep_starts_no_thread(monkeypatch, tmp_path, method):
+def test_sweep_leaves_no_thread_running(monkeypatch, tmp_path, method):
+    # Each run of a sweep starts one worker for its TV halves, on two or
+    # more CPUs, and joins it before it returns.
+    monkeypatch.setattr(poissontv.solver, "_usable_cpus", lambda: 2)
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or start(self))
-    assert run("sweep", *BASE, "--method", method, "--lambda", "6e-3",
-               "--tol", "1e-2,1e-3", "--out", str(tmp_path / "sweep")) == 0
-    assert started == []
+    before = set(threading.enumerate())
+    for constraint in ("s1", "s2"):
+        out = str(tmp_path / constraint)
+        assert run("sweep", *BASE, "--method", method, "--lambda", "6e-3",
+                   "--constraint", constraint, "--tol", "1e-2,1e-3",
+                   "--out", out) == 0
+        assert set(threading.enumerate()) == before
+    assert len(started) == 2
+    assert not any(thread.is_alive() for thread in started)
 
 
 def test_report_shapes(tmp_path):
@@ -292,6 +305,14 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         assert run("solve", *BASE, "--blur", "motion", "--angle", value,
                    "--out", out) == 2
         assert "angle must be finite" in capsys.readouterr().err
+    # A motion length whose offsets overflow the integer cast used to
+    # print numpy's cast warning, and exit on the array size it gave.
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", *BASE, "--blur", "motion", "--len", "1e20",
+                   "--out", out) == 2
+    assert "length must lie in [1, 2**64)" in capsys.readouterr().err
     # --monotone stands for memory 1, but a memory below 1 is still wrong.
     for user in ({"memory": 0}, {"memory": 0, "monotone": True}):
         cfg.write_text(json.dumps(user))

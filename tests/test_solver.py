@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from poissontv import sgp, solver
-from poissontv.blur import gaussian_psf
+from poissontv.blur import BlurOperator, gaussian_psf
 from poissontv.constraints import FeasibleSet
-from poissontv.kl import kl_gradient, kl_value
+from poissontv.kl import PoissonData, kl_gradient, kl_value
 from poissontv.sgp import SteplengthState, sgp_solve
 from poissontv.solver import (AcquireConfig, OuterModel, SolverTrace,
                               _SmoothObjective, acquire_solve,
@@ -430,6 +431,35 @@ def test_line_search_stall_ends_the_run(monkeypatch, run):
     assert x is reported[-1]
 
 
+@pytest.mark.parametrize("reason", ["tol", "time", "cap", "stalled"])
+@pytest.mark.parametrize("run", [acquire_solve, sgp_restore],
+                         ids=["acquire", "sgp"])
+def test_trace_records_why_the_run_stopped(monkeypatch, run, reason):
+    settings = {"tol": dict(tol=1e30), "time": dict(max_time=1e-9),
+                "cap": dict(max_outer_iters=3), "stalled": {}}[reason]
+    if reason == "stalled":
+        monkeypatch.setattr(solver, "armijo", lambda *args: None)
+    problem = toy_problem()
+    _, trace = run(problem.data(), FeasibleSet.nonneg(), problem.observed,
+                   toy_config(**{"tol": 0.0, **settings}))
+    # With tol = 1e30 every change passes, and SGP waits out its patience.
+    patience = solver.SGP_STOP_PATIENCE if run is sgp_restore else 1
+    assert trace.stop_reason == reason
+    assert len(trace.iters) == {"tol": patience, "time": 1, "cap": 3,
+                                "stalled": 0}[reason]
+
+
+def test_sgp_stops_where_the_scaled_step_stays_put():
+    # No counts and a unit background: at x = 0 the gradient is positive
+    # everywhere, so the projected scaled step is x itself.
+    op = BlurOperator(gaussian_psf(3, 1.0), 8, 8)
+    data = PoissonData(np.zeros((8, 8)), 1.0, op)
+    x, trace = sgp_restore(data, FeasibleSet.nonneg(), np.zeros((8, 8)),
+                           toy_config(tol=0.0))
+    assert trace.stop_reason == "stationary" and trace.iters == []
+    assert not x.any()
+
+
 def test_sgp_rows_record_their_armijo_step(monkeypatch):
     # Each SGP row holds the accepted step rho, a power of BACKTRACK, and
     # an objective that passes the monotone Armijo test against the row
@@ -570,6 +600,95 @@ def test_trace_rows_take_column_defaults():
     with pytest.raises(KeyError, match="bogus"):
         trace.append(iters=2, objective=2.0, rel_change=0.5, pg_norm=0.1,
                      rel_error=0.3, time_s=0.0, mssim=0.0, bogus=1)
+
+
+# ------------------------------------------------------------- TV worker
+
+
+COLUMNS = ("objective", "rel_change", "alpha", "pg_norm", "rel_error",
+           "inner_iters")
+
+
+def watched_solve(monkeypatch, run, constraint, cpus):
+    """A capped toy solve with `cpus` usable CPUs; returns x, the trace,
+    the threads it started, and the threads that blurred and that ran a
+    TV half."""
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    seen = {"started": [], "blur": set(), "tv": set()}
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: seen["started"].append(self)
+                        or start(self))
+    for owner, name, kind in ((BlurOperator, "apply", "blur"),
+                              (BlurOperator, "apply_adjoint", "blur"),
+                              (solver, "tv_mu_value", "tv"),
+                              (solver, "tv_mu_gradient", "tv"),
+                              (TvQuadraticModel, "__init__", "tv"),
+                              (TvQuadraticModel, "hessian_vec", "tv")):
+        def watched(*args, _fn=getattr(owner, name), _kind=kind, **kwargs):
+            seen[_kind].add(threading.get_ident())
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, watched)
+    problem = toy_problem()
+    feasible = (FeasibleSet.nonneg() if constraint == "s1" else
+                FeasibleSet.nonneg_flux(float(problem.ground_truth.sum())))
+    before = set(threading.enumerate())
+    x, trace = run(problem.data(), feasible, problem.observed,
+                   toy_config(tol=0.0, max_outer_iters=8),
+                   ground_truth=problem.ground_truth)
+    assert set(threading.enumerate()) == before
+    monkeypatch.undo()
+    return x, trace, seen
+
+
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+@pytest.mark.parametrize("run", [acquire_solve, sgp_restore],
+                         ids=["acquire", "sgp"])
+def test_tv_halves_run_on_a_worker_of_the_solve(monkeypatch, run,
+                                                constraint):
+    # On two CPUs a solve starts one worker, runs every TV half on it and
+    # every blur on the calling thread, and joins it before returning
+    # (`watched_solve` checks that no thread outlives the call).  On one
+    # CPU it starts none, and the iterates and trace are the same bits.
+    caller = threading.get_ident()
+    x2, trace2, seen = watched_solve(monkeypatch, run, constraint, cpus=2)
+    [worker] = seen["started"]
+    assert seen["blur"] == {caller} and seen["tv"] == {worker.ident}
+    x1, trace1, seen = watched_solve(monkeypatch, run, constraint, cpus=1)
+    assert seen["started"] == []
+    assert seen["blur"] == seen["tv"] == {caller}
+    assert len(trace1.iters) == 8 and np.array_equal(x1, x2)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(trace1, column),
+                              getattr(trace2, column)), column
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+def test_errstate_holds_in_the_tv_half(monkeypatch, cpus):
+    # A spike that overflows only the TV half: its squared differences,
+    # and its weighted ones in the Hessian action.  The KL half works from
+    # a finite A x, and its Hessian action scales the spike by at most 6.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    problem = toy_problem()
+    data = problem.data()
+    x = problem.observed
+    ax = data.op.apply(x)
+    spiked = x.copy()
+    spiked[3, 4] = 1e307
+    with solver._solve_executor() as pool, np.errstate(all="raise"):
+        model = OuterModel(data, x, LAM, 1e-2, 1e-5, ax, pool)
+        for point, raises in ((x, False), (spiked, True)):
+            evaluations = (
+                lambda: objective_value(data, point, LAM, 1e-2, ax, pool),
+                lambda: objective_gradient(data, point, LAM, 1e-2, ax, pool),
+                lambda: OuterModel(data, point, LAM, 1e-2, 1e-5, ax, pool),
+                lambda: model.hessian_vec(point))
+            for evaluate in evaluations:
+                if raises:
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        evaluate()
+                else:
+                    evaluate()
 
 
 # A 128x128 phantom: large enough that a BLAS dot product would split
