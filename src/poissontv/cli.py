@@ -16,6 +16,7 @@ meta.json written next to the results, so runs are self-describing.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -554,6 +555,7 @@ def _add_solver_flags(p):
                    default=None, help="monotone line search")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="poissontv",

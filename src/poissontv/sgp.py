@@ -223,11 +223,14 @@ def sgp_solve(model, feasible_set, z0, state, max_iters,
     f_z = model.value(z)
     g = model.gradient(z)
     trace = SgpTrace(start_gradient=g)
+    pg_norm = None              # at z, once computed
     for _ in range(max_iters):
-        trace.final_pg_norm = feasible_set.pg_norm(z, g)
-        if (stop_norm_target is not None and trace.iterations > 0
-                and trace.final_pg_norm <= stop_norm_target):
-            break
+        if stop_norm_target is not None and trace.iterations > 0:
+            pg_norm = feasible_set.pg_norm(z, g)
+            if pg_norm <= stop_norm_target:
+                break
+        elif not feasible_set.contains(z):    # pg_norm's own check
+            raise ValueError("point is not feasible")
         found = sgp_direction(feasible_set, z, g, state, scaled)
         if found is None:
             break
@@ -244,7 +247,8 @@ def sgp_solve(model, feasible_set, z0, state, max_iters,
         hd *= rho
         hd += g
         g = hd
+        pg_norm = None
         trace.iterations += 1
-    else:                       # the cap: the norm at the last iterate
-        trace.final_pg_norm = feasible_set.pg_norm(z, g)
+    trace.final_pg_norm = (feasible_set.pg_norm(z, g) if pg_norm is None
+                           else pg_norm)
     return z, trace

@@ -50,17 +50,27 @@ def shepp_logan_ellipses(variant="modified"):
 
 
 def render_ellipses(ellipses, n):
-    """Sum of constant-intensity ellipses rasterized on an n x n grid."""
+    """Sum of constant-intensity ellipses rasterized on an n x n grid, each
+    evaluated on its bounding box plus two pixels, outside which it adds 0."""
     half = (n - 1) / 2.0
     coords = (np.arange(n) - half) / half
-    xg = coords[None, :]          # columns: x increases rightward
-    yg = -coords[:, None]         # rows: y decreases downward
+    # Pixels within r of pixel c; pixel j lies at coordinate j / half - 1.
+    span = lambda c, r: slice(int(max(c - r, 0)), int(min(np.ceil(c + r), n)))
     img = np.zeros((n, n))
     for amp, a, b, x0, y0, phi_deg in ellipses:
+        if not (np.isfinite([amp, a, b, x0, y0, phi_deg]).all()
+                and min(a, b) > 0):
+            raise ValueError("ellipse parameters must be finite, half-axes > 0")
         phi = np.deg2rad(phi_deg)
+        ex = np.hypot(a * np.cos(phi), b * np.sin(phi))
+        ey = np.hypot(a * np.sin(phi), b * np.cos(phi))
+        rows = span(half * (1 - y0), ey * half + 2)
+        cols = span(half * (1 + x0), ex * half + 2)
+        xg = coords[None, cols]       # columns: x increases rightward
+        yg = -coords[rows, None]      # rows: y decreases downward
         xr = (xg - x0) * np.cos(phi) + (yg - y0) * np.sin(phi)
         yr = -(xg - x0) * np.sin(phi) + (yg - y0) * np.cos(phi)
-        img += amp * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
+        img[rows, cols] += amp * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
     return img
 
 

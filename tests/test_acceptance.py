@@ -7,7 +7,9 @@ across criteria 1-4 through a module-level cache, and a tolerance sweep
 is evaluated from a single run at the tightest tolerance: stopping at a
 looser tolerance truncates the same deterministic iterate sequence.
 Criteria 1-4 carry the `slow` marker (ten 25-second runs per method);
-`pytest -m "not slow"` leaves them out.
+`pytest -m "not slow"` leaves them out.  Criterion 4 has a companion whose
+runs stop on an outer-iteration cap alone, so its ratio has the same bits
+on any machine, however fast.
 """
 
 import itertools
@@ -36,18 +38,22 @@ SEEDS = (1, 2, 3, 4, 5)
 LAMBDA = {35.0: 6e-3, 40.0: 4e-3}
 TOLS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
+EARLY_PROGRESS_CAP = 100    # outer iterations of the capped criterion 4
+
 _RUNS = {}
 
 
-def phantom_run(method, snr, seed):
-    """One 25-second benchmark run; cached across criteria."""
-    key = (method, snr, seed)
+def phantom_run(method, snr, seed, cap=None):
+    """One benchmark run, cached across criteria: 25 seconds long, or with
+    `cap` that many outer iterations with no clock."""
+    key = (method, snr, seed, cap)
     if key in _RUNS:
         return _RUNS[key]
     problem = make_problem(shepp_logan(256), gaussian_psf(255, 2.0),
                            snr, seed)
-    config = AcquireConfig(lam=LAMBDA[snr], mu=1e-2, tol=min(TOLS),
-                           max_time=25.0)
+    stop = (dict(max_time=25.0) if cap is None else
+            dict(max_time=np.inf, max_outer_iters=cap))
+    config = AcquireConfig(lam=LAMBDA[snr], mu=1e-2, tol=min(TOLS), **stop)
     truth = problem.ground_truth
     truth_norm = float(np.linalg.norm(truth))
     best = {"err": np.inf, "x": None}
@@ -113,15 +119,31 @@ def test_criterion_3_acquire_sgp_parity():
            f"phantom instance (worst gap {100 * worst:.2f}%)")
 
 
+def early_progress(cap=None):
+    """Median over the seeds of the SNR-35 ACQUIRE error after 10 outer
+    iterations over the run's minimum."""
+    runs = [phantom_run("acquire", 35.0, s, cap) for s in SEEDS]
+    return float(np.median([r["err_at_10"] / r["min_rel_err"]
+                            for r in runs]))
+
+
 @pytest.mark.slow
 def test_criterion_4_early_progress():
-    ratios = [phantom_run("acquire", 35.0, s)["err_at_10"]
-              / phantom_run("acquire", 35.0, s)["min_rel_err"]
-              for s in SEEDS]
-    med = float(np.median(ratios))
+    med = early_progress()
     report(4, med <= 1.25,
            f"SNR=35 rel err after 10 outer iterations <= 1.25x the run "
            f"minimum (median ratio {med:.3f})")
+
+
+@pytest.mark.slow
+def test_criterion_4_early_progress_on_an_iteration_cap():
+    med = early_progress(EARLY_PROGRESS_CAP)
+    capped = all(phantom_run("acquire", 35.0, s, EARLY_PROGRESS_CAP)
+                 ["trace"].stop_reason == "cap" for s in SEEDS)
+    report("4 (capped)", med <= 1.25 and capped,
+           f"SNR=35 rel err after 10 outer iterations <= 1.25x the minimum "
+           f"of a {EARLY_PROGRESS_CAP}-outer-iteration run with no clock "
+           f"(median ratio {med:.3f}, every run on its cap: {capped})")
 
 
 def test_criterion_5_oracle_equivalence_suite():

@@ -69,6 +69,22 @@ def test_gaussian_5x5_matches_direct_evaluation():
     assert np.allclose(k, expected, rtol=1e-14, atol=0)
 
 
+def full_support_gaussian(size, sigma):
+    """The Gaussian formula on the whole support: the quadrant kernel's
+    oracle."""
+    u = np.arange(size, dtype=np.float64) - size // 2
+    k = np.exp(-(u[:, None] ** 2 + u[None, :] ** 2) / (2.0 * sigma**2))
+    return k / k.sum()
+
+
+def test_gaussian_has_the_full_support_bits():
+    for size in range(3, 258, 2):
+        for sigma in (0.5, 1.0, 2.0, 3.7):
+            assert np.array_equal(gaussian_psf(size, sigma).kernel,
+                                  full_support_gaussian(size, sigma)), \
+                (size, sigma)
+
+
 def test_gaussian_guards():
     with pytest.raises(ValueError):
         gaussian_psf(4, 1.0)
@@ -282,6 +298,40 @@ def test_results_survive_later_applies():
     assert np.array_equal(ax, op.apply(x))
     assert np.array_equal(ay, op.apply(y))
     assert np.array_equal(aty, op.apply_adjoint(z))
+
+
+def rfft2_otf(psf, r, s):
+    """The kernel rolled to the origin and transformed by rfft2: the
+    operator's OTF oracle."""
+    kh, kw = psf.kernel.shape
+    padded = np.zeros((r, s))
+    padded[:kh, :kw] = psf.kernel
+    return np.fft.rfft2(np.roll(padded, (-(kh // 2), -(kw // 2)),
+                                axis=(0, 1)))
+
+
+def largest_odd(n):
+    return n - 1 + n % 2
+
+
+@pytest.mark.parametrize("r, s", [(256, 256), (255, 257), (64, 33), (9, 11),
+                                  (1, 12), (32, 80), (129, 127)])
+def test_otf_has_the_rfft2_bits(r, s):
+    side = largest_odd(min(r, s))
+    rng = np.random.default_rng(r * s)
+    asym = rng.random((largest_odd(r), largest_odd(s)))
+    psfs = [Psf(asym / asym.sum())]      # asymmetric, spanning the grid
+    if side >= 3:
+        psfs += [gaussian_psf(side, 2.0), gaussian_psf(3, 0.7)]
+    if side >= 9:
+        psfs += [motion_psf(9, 30.0), disk_psf(4.0)]
+    if side >= 23:
+        psfs += [motion_psf(21, -60.0), disk_psf(9.5)]
+    for psf in psfs:
+        op = BlurOperator(psf, r, s)
+        want = rfft2_otf(psf, r, s)
+        assert np.array_equal(op._otf, want), psf.kernel.shape
+        assert np.array_equal(op._otf_conj, np.conj(want))
 
 
 def test_operator_shape_guards():

@@ -41,6 +41,19 @@ def test_generate_writes_loadable_bundle(tmp_path):
     assert "flux" in meta and "lambda_hint" in meta
 
 
+def test_parser_is_built_once_and_calls_keep_their_own_options(tmp_path):
+    # One parser serves every call in a process; an option given to one
+    # call must not carry over into the next.
+    assert poissontv.cli.build_parser() is poissontv.cli.build_parser()
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    assert run("generate", *GEN, "--blur", "motion", "--out", first) == 0
+    assert run("generate", "--size", "32", "--out", second) == 0
+    meta = json.loads((tmp_path / "second" / "meta.json").read_text())
+    assert meta["seed"] == DEFAULTS["seed"] != 4
+    assert meta["snr_db"] == DEFAULTS["snr"] != 30
+    assert meta["blur"] == DEFAULTS["blur"] != "motion"
+
+
 def test_solve_outputs(tmp_path):
     out = str(tmp_path / "run")
     assert run("solve", *BASE, "--lambda", "6e-3", "--tol", "1e-3",

@@ -200,6 +200,28 @@ def test_inner_cap_flagged_when_binding():
     assert any(trace.inner_cap_hit)
 
 
+def test_capped_inner_solve_takes_one_pg_norm_per_iteration(monkeypatch):
+    # The stop test needs the projected-gradient norm only from the first
+    # step on, and the cap exit needs it once: a solve capped at ten
+    # steps projects onto the tangent cone ten times.  With no target
+    # the norm is taken at the exit alone.
+    problem = toy_problem()
+    feasible = FeasibleSet.nonneg()
+    x = feasible.project(problem.observed)
+    model = OuterModel(problem.data(), x, LAM, 1e-2, 1e-5)
+    calls = []
+    pg_norm = FeasibleSet.pg_norm
+    monkeypatch.setattr(FeasibleSet, "pg_norm", lambda self, *args:
+                        calls.append(1) or pg_norm(self, *args))
+    _, trace = sgp_solve(model, feasible, x, SteplengthState(), max_iters=10,
+                         stop_norm_target=1e-12)
+    assert trace.iterations == 10 and len(calls) == 10
+    assert trace.final_pg_norm > 1e-12
+    calls.clear()
+    _, trace = sgp_solve(model, feasible, x, SteplengthState(), max_iters=10)
+    assert trace.iterations == 10 and len(calls) == 1
+
+
 def test_monotone_mode_is_monotone():
     problem = toy_problem()
     config = toy_config(memory=1, max_outer_iters=50)

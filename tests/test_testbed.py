@@ -49,6 +49,52 @@ def test_renderer_reflection_equivariance():
     assert np.array_equal(render_ellipses(mirrored, 96), img[:, ::-1])
 
 
+def full_grid_render(ellipses, n):
+    """Every ellipse evaluated on the whole grid: the renderer's oracle."""
+    half = (n - 1) / 2.0
+    coords = (np.arange(n) - half) / half
+    xg = coords[None, :]
+    yg = -coords[:, None]
+    img = np.zeros((n, n))
+    for amp, a, b, x0, y0, phi_deg in ellipses:
+        phi = np.deg2rad(phi_deg)
+        xr = (xg - x0) * np.cos(phi) + (yg - y0) * np.sin(phi)
+        yr = -(xg - x0) * np.sin(phi) + (yg - y0) * np.cos(phi)
+        img += amp * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
+    return img
+
+
+@pytest.mark.parametrize("variant", ("original", "modified"))
+def test_phantom_has_the_full_grid_bits(variant):
+    ellipses = shepp_logan_ellipses(variant)
+    for n in [*range(32, 81), 127, 128, 129, 255, 256, 257, 512]:
+        want = np.maximum(full_grid_render(ellipses, n), 0.0)
+        assert np.array_equal(shepp_logan(n, variant), want), n
+
+
+def test_renderer_has_the_full_grid_bits_off_center_and_rotated():
+    # Ellipses at any angle, some straddling the border or off the grid.
+    rng = np.random.default_rng(5)
+    ellipses = [(rng.uniform(-1, 1), *rng.uniform(0.01, 1.2, 2),
+                 *rng.uniform(-1.6, 1.6, 2), rng.uniform(-180, 180))
+                for _ in range(40)]
+    for n in (2, 7, 33, 64):
+        assert np.array_equal(render_ellipses(ellipses, n),
+                              full_grid_render(ellipses, n)), n
+
+
+@pytest.mark.parametrize("bad", [
+    (np.nan, 0.5, 0.5, 0.0, 0.0, 0.0), (1.0, np.inf, 0.5, 0.0, 0.0, 0.0),
+    (1.0, 0.5, np.nan, 0.0, 0.0, 0.0), (1.0, 0.5, 0.5, -np.inf, 0.0, 0.0),
+    (1.0, 0.5, 0.5, 0.0, np.nan, 0.0), (1.0, 0.5, 0.5, 0.0, 0.0, np.inf),
+    (1.0, 0.0, 0.5, 0.0, 0.0, 0.0), (1.0, 0.5, -0.1, 0.0, 0.0, 0.0)])
+def test_renderer_rejects_non_finite_or_flat_ellipses(bad):
+    # A NaN would taint only its own box, and a zero half-axis divides by
+    # zero: both are errors, not images.
+    with pytest.raises(ValueError, match="ellipse parameters"):
+        render_ellipses([(1.0, 0.9, 0.9, 0.0, 0.0, 0.0), bad], 16)
+
+
 def test_phantom_values_at_ellipse_centers():
     # Independent scalar membership evaluation at the grid pixel nearest
     # each ellipse center.
