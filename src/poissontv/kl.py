@@ -47,21 +47,17 @@ class PoissonData:
         return np.maximum(t, self._den_floor, out=t)
 
 
-def _kl_sum(data, t):
-    """The divergence at t = A x + b, which it overwrites."""
-    val = float((t - data.y).sum())
-    np.divide(data._y_log, t, out=t)
-    np.log(t, out=t)
-    t *= data.y
-    return val + float(t.sum())
-
-
 def kl_value(data, x, ax=None):
     """Sum of y ln(y/(Ax+b)) + (Ax+b) - y, with 0 ln(...) = 0 where y = 0.
 
     `ax`, when given, is A x (see `PoissonData.forward`).
     """
-    return _kl_sum(data, data.forward(x, ax))
+    t = data.forward(x, ax)
+    val = float((t - data.y).sum())
+    np.divide(data._y_log, t, out=t)
+    np.log(t, out=t)
+    t *= data.y
+    return val + float(t.sum())
 
 
 def _residual_into(data, t):
@@ -86,28 +82,26 @@ class KlQuadraticModel:
     anchor; gamma >= 0 shifts it to guarantee strong convexity.  `ax`,
     when given, is A x_k; building the model then costs one adjoint.
     `gradient` and `hessian_vec` return fresh arrays; the model owns one
-    image-sized scratch array.
+    image-sized scratch array.  Each `value` call evaluates KL at x_k.
     """
 
     def __init__(self, data, x_k, gamma, ax=None):
         if gamma < 0:
             raise ValueError("gamma must be nonnegative")
         x_k = np.asarray(x_k, dtype=np.float64)
-        if ax is None:
-            ax = data.op.apply(x_k)
         t_k = data.forward(x_k, ax)
-        self.op = data.op
+        self.data = data
         self.gamma = gamma
         self.x_k = x_k
+        self.ax = ax
         self.u2 = data.y / (t_k * t_k)
-        self.value_k = _kl_sum(data, t_k.copy())
         self.g_k = data.op.apply_adjoint(_residual_into(data, t_k))
         self._work = np.empty_like(x_k)
 
     def hessian_vec(self, v):
-        av = self.op.apply(v)
+        av = self.data.op.apply(v)
         av *= self.u2
-        hv = self.op.apply_adjoint(av)
+        hv = self.data.op.apply_adjoint(av)
         hv += np.multiply(self.gamma, v, out=self._work)
         return hv
 
@@ -117,7 +111,7 @@ class KlQuadraticModel:
 
     def value(self, x):
         d = x - self.x_k
-        return (self.value_k + _dot(self.g_k, d)
+        return (kl_value(self.data, self.x_k, self.ax) + _dot(self.g_k, d)
                 + 0.5 * _dot(d, self._curvature(d)))
 
     def gradient(self, x):

@@ -195,34 +195,32 @@ def sgp_direction(feasible_set, z, g, state, scaled):
 class SgpTrace:
     iterations: int = 0
     final_pg_norm: float = float("nan")
-    start_gradient: np.ndarray | None = None    # model gradient at z0
 
 
-def sgp_solve(model, feasible_set, z0, state, max_iters,
+def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
               stop_norm_target=None):
-    """Run scaled gradient projection on a quadratic model (`value`,
-    `gradient`, `hessian_vec`) over a feasible set; returns (z, SgpTrace).
+    """Run scaled gradient projection on a quadratic model (`hessian_vec`)
+    over a feasible set from z0, where the model gradient is g0; returns
+    (z, SgpTrace).
 
-    One Hessian action H d per iteration gives the line-search trial
-    values exactly (from the one-dimensional restriction) and the next
-    gradient by the recurrence g + rho H d, as in Bonettini, Zanella &
-    Zanni (2009).  Stops when the projected-gradient norm reaches
-    `stop_norm_target` after at least one step (a loose target that
-    returned z0 would give the outer solver a zero step, which ends its
-    run as if converged), on the iteration cap, or where the scaled step
-    leaves z in place.  Every iterate is feasible and the model values
-    are monotone (Armijo sufficient decrease against the current value).
+    One Hessian action H d per iteration gives the model's change along d
+    exactly and the next gradient by the recurrence g + rho H d, as in
+    Bonettini, Zanella & Zanni (2009).  Stops when the projected-gradient
+    norm reaches `stop_norm_target` after at least one step (a loose
+    target that returned z0 would give the outer solver a zero step,
+    which ends its run as if converged), on the iteration cap, or where
+    the scaled step leaves z in place.  Every iterate is feasible and the
+    model values are monotone (Armijo sufficient decrease of the change).
 
     The solver writes into the arrays that `hessian_vec` and
     `project_weighted` return, so those must be fresh; it never writes
-    into z0, a returned iterate, or a gradient.
+    into z0, g0, a returned iterate, or a gradient.
     """
     state.begin_call()
     z = np.asarray(z0, dtype=np.float64)
     scaled = np.empty_like(z)
-    f_z = model.value(z)
-    g = model.gradient(z)
-    trace = SgpTrace(start_gradient=g)
+    g = g0
+    trace = SgpTrace()
     pg_norm = None              # at z, once computed
     for _ in range(max_iters):
         if stop_norm_target is not None and trace.iterations > 0:
@@ -237,11 +235,11 @@ def sgp_solve(model, feasible_set, z0, state, max_iters,
         direction, slope = found
         hd = model.hessian_vec(direction)
         curv = _dot(direction, hd)
-        step = armijo(lambda rho: f_z + rho * slope + 0.5 * rho * rho * curv,
-                      f_z, slope, BETA_LS, BACKTRACK)
+        step = armijo(lambda rho: rho * slope + 0.5 * rho * rho * curv,
+                      0.0, slope, BETA_LS, BACKTRACK)
         if step is None:
             break
-        rho, f_z = step
+        rho, _ = step
         direction *= rho
         z = np.add(z, direction, out=direction)
         hd *= rho

@@ -22,6 +22,7 @@ from itertools import islice
 import contextvars
 import csv
 import math
+import numbers
 import os
 import time
 
@@ -104,6 +105,10 @@ class AcquireConfig:
     max_time: float = 25.0          # wall-clock budget, seconds
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.memory, self.inner_max_iters,
+                             self.max_outer_iters)):
+            raise ValueError("memory and the iteration caps must be integers")
         if not all(math.isfinite(v) for v in
                    (self.lam, self.mu, self.gamma, self.tol)):
             raise ValueError("lam, mu, gamma and tol must be finite")
@@ -260,24 +265,25 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
     with _solve_executor() as pool:
         objective = _SmoothObjective(data, config.lam, config.mu, pool)
-        # Reference norm for the inner stopping rule, fixed once per run.
-        # At the first iteration the model gradient at the start equals
-        # the true gradient, so this is the model's projected-gradient
-        # norm at x^(0); keeping it fixed makes the threshold sequence
-        # exactly geometric.
-        ref_norm = feasible_set.pg_norm(x, objective.gradient(x, ax))
+        ref_norm = None
 
         def direction(k, x, ax):
+            nonlocal ref_norm
             model = OuterModel(data, x, config.lam, config.mu, config.gamma,
                                ax, pool)
+            # At the anchor the model gradient is the true one: the inner
+            # solve starts from it, the outer slope is taken along it, and
+            # at x^(0) its projected norm is the inner stop's reference,
+            # fixed for the run so that the targets are exactly geometric.
+            g = model.gradient(x)
+            if k == 1:
+                ref_norm = feasible_set.pg_norm(x, g)
             target = config.theta**k * ref_norm
-            x_hat, inner = sgp_solve(model, feasible_set, x, state,
+            x_hat, inner = sgp_solve(model, feasible_set, x, g, state,
                                      max_iters=inner_cap,
                                      stop_norm_target=target)
             d = x_hat - x
-            # The inner solve starts at x, where the model gradient equals
-            # the true one.
-            return d, _dot(inner.start_gradient, d), dict(
+            return d, _dot(g, d), dict(
                 pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
                 inner_target=target, inner_ref_norm=ref_norm,
                 inner_cap_hit=inner.iterations >= inner_cap

@@ -7,9 +7,9 @@ across criteria 1-4 through a module-level cache, and a tolerance sweep
 is evaluated from a single run at the tightest tolerance: stopping at a
 looser tolerance truncates the same deterministic iterate sequence.
 Criteria 1-4 carry the `slow` marker (ten 25-second runs per method);
-`pytest -m "not slow"` leaves them out.  Criterion 4 has a companion whose
-runs stop on an outer-iteration cap alone, so its ratio has the same bits
-on any machine, however fast.
+`pytest -m "not slow"` leaves them out.  Criteria 1 and 4 have companions
+that read the same five runs stopped on an outer-iteration cap alone, so
+their results have the same bits on any machine, however fast.
 """
 
 import itertools
@@ -38,7 +38,7 @@ SEEDS = (1, 2, 3, 4, 5)
 LAMBDA = {35.0: 6e-3, 40.0: 4e-3}
 TOLS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
-EARLY_PROGRESS_CAP = 100    # outer iterations of the capped criterion 4
+EARLY_PROGRESS_CAP = 100    # outer iterations of the capped criteria 1, 4
 
 _RUNS = {}
 
@@ -83,9 +83,9 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def median_band(snr, err_band, mssim_floor):
-    errs = [phantom_run("acquire", snr, s)["min_rel_err"] for s in SEEDS]
-    sims = [phantom_run("acquire", snr, s)["mssim"] for s in SEEDS]
+def median_band(snr, err_band, mssim_floor, cap=None):
+    errs = [phantom_run("acquire", snr, s, cap)["min_rel_err"] for s in SEEDS]
+    sims = [phantom_run("acquire", snr, s, cap)["mssim"] for s in SEEDS]
     med_err = float(np.median(errs))
     med_sim = float(np.median(sims))
     ok = err_band[0] <= med_err <= err_band[1] and med_sim >= mssim_floor
@@ -97,6 +97,16 @@ def test_criterion_1_phantom_snr35_error_and_mssim_bands():
     ok, med_err, med_sim = median_band(35.0, (0.12, 0.165), 0.95)
     report(1, ok, f"SNR=35 median min rel err {med_err:.4f} in [0.12, "
                   f"0.165], median MSSIM {med_sim:.4f} >= 0.95")
+
+
+@pytest.mark.slow
+def test_criterion_1_on_an_iteration_cap():
+    ok, med_err, med_sim = median_band(35.0, (0.12, 0.165), 0.95,
+                                       EARLY_PROGRESS_CAP)
+    report("1 (capped)", ok,
+           f"SNR=35 median min rel err {med_err:.4f} in [0.12, 0.165], "
+           f"median MSSIM {med_sim:.4f} >= 0.95, over "
+           f"{EARLY_PROGRESS_CAP}-outer-iteration runs with no clock")
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -202,8 +203,9 @@ def test_abbmin_buffer_fallback_after_begin_call():
 def test_stationary_start_returns_immediately():
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))  # min at (1, 1)
     z0 = np.array([1.0, 1.0])
-    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, SteplengthState(),
-                         max_iters=10, stop_norm_target=1e-12)
+    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, model.gradient(z0),
+                         SteplengthState(), max_iters=10,
+                         stop_norm_target=1e-12)
     assert np.array_equal(z, z0)
     assert trace.iterations == 0
 
@@ -213,8 +215,9 @@ def test_loose_target_still_takes_a_step():
     # steps once before it tests the target, so it never returns z0.
     model = Quadratic(np.eye(2), np.array([-1.0, -1.0]))
     z0 = np.array([2.0, 2.0])
-    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, SteplengthState(),
-                         max_iters=10, stop_norm_target=1e30)
+    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, model.gradient(z0),
+                         SteplengthState(), max_iters=10,
+                         stop_norm_target=1e30)
     assert trace.iterations == 1
     assert model.value(z) < model.value(z0)
     assert trace.final_pg_norm == pytest.approx(
@@ -224,7 +227,8 @@ def test_loose_target_still_takes_a_step():
 def test_1d_quadratic_converges():
     # 0.5 (z - 3)^2 over z >= 0 from z0 = 0 with the default scaling.
     model = Quadratic(np.eye(1), np.array([-3.0]))
-    z, trace = sgp_solve(model, FeasibleSet.nonneg(), np.array([0.0]),
+    z0 = np.array([0.0])
+    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, model.gradient(z0),
                          SteplengthState(), max_iters=10,
                          stop_norm_target=1e-10)
     assert abs(z[0] - 3.0) <= 1e-8
@@ -240,7 +244,8 @@ def test_qp_on_flux_simplex_matches_kkt_oracle():
     expected = qp_simplex_oracle(q_mat, q_vec, c)
     feasible = FeasibleSet.nonneg_flux(c)
     z0 = feasible.project(np.ones(3))
-    z, _ = sgp_solve(Quadratic(q_mat, q_vec), feasible, z0,
+    model = Quadratic(q_mat, q_vec)
+    z, _ = sgp_solve(model, feasible, z0, model.gradient(z0),
                      SteplengthState(), max_iters=200,
                      stop_norm_target=1e-10)
     assert np.allclose(z, expected, atol=1e-6)
@@ -257,8 +262,8 @@ def test_iterates_feasible_and_objective_monotone():
     seen = []
     record = state.record
     state.record = lambda z, g: seen.append(z.copy()) or record(z, g)
-    z, trace = sgp_solve(model, feasible, z0, state, max_iters=50,
-                         stop_norm_target=0.0)
+    z, trace = sgp_solve(model, feasible, z0, model.gradient(z0), state,
+                         max_iters=50, stop_norm_target=0.0)
     seen.append(z)
     assert len(seen) == trace.iterations + 1 > 2
     assert np.array_equal(seen[0], z0)
@@ -269,11 +274,34 @@ def test_iterates_feasible_and_objective_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_solve_calls_nothing_of_the_model_but_its_hessian_action():
+    # The start gradient comes from the caller: a model that offers only
+    # hessian_vec gives the iterates of the full quadratic.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 4))
+    model = Quadratic(a @ a.T + np.eye(4), rng.standard_normal(4))
+    hessian_only = types.SimpleNamespace(hessian_vec=model.hessian_vec)
+    feasible = FeasibleSet.nonneg_flux(1.5)
+    z0 = feasible.project(np.ones(4))
+    runs = []
+    for solved in (model, hessian_only):
+        state = SteplengthState()
+        seen = []
+        record = state.record
+        state.record = lambda z, g: seen.append(z.copy()) or record(z, g)
+        z, _ = sgp_solve(solved, feasible, z0, model.gradient(z0), state,
+                         max_iters=50, stop_norm_target=0.0)
+        runs.append(seen + [z])
+    assert len(runs[0]) == len(runs[1]) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
 def test_steplength_state_persists_across_calls(monkeypatch):
     model = Quadratic(np.diag([1.0, 4.0]), np.array([-1.0, -2.0]))
     feasible = FeasibleSet.nonneg()
     state = SteplengthState()
-    sgp_solve(model, feasible, np.array([2.0, 2.0]), state,
+    z0 = np.array([2.0, 2.0])
+    sgp_solve(model, feasible, z0, model.gradient(z0), state,
               max_iters=5, stop_norm_target=0.0)
     assert state.buffer  # BB2 values recorded
     carried = min(state.buffer)
@@ -285,7 +313,8 @@ def test_steplength_state_persists_across_calls(monkeypatch):
         return steplengths[-1]
 
     monkeypatch.setattr(sgp, "abbmin_steplength", recorded)
-    sgp_solve(model, feasible, np.array([3.0, 1.0]), state,
+    z0 = np.array([3.0, 1.0])
+    sgp_solve(model, feasible, z0, model.gradient(z0), state,
               max_iters=5, stop_norm_target=0.0)
     # First steplength of the second call comes from the carried buffer,
     # not from a cold restart at 1.
@@ -332,8 +361,9 @@ def test_nan_gradient_on_s1_raises():
     # must then fail the feasibility check rather than run on to the
     # iteration cap.
     model = NanCurvature(np.eye(2), np.array([-1.0, -1.0]))
+    z0 = np.array([3.0, 0.5])
     with pytest.raises(ValueError, match="not feasible"):
-        sgp_solve(model, FeasibleSet.nonneg(), np.array([3.0, 0.5]),
+        sgp_solve(model, FeasibleSet.nonneg(), z0, model.gradient(z0),
                   SteplengthState(), max_iters=20)
 
 

@@ -58,8 +58,15 @@ def test_config_validation():
         AcquireConfig(lam=1.0, inner_max_iters=-1)
     with pytest.raises(ValueError):
         AcquireConfig(lam=1.0, max_outer_iters=0)
-    # Non-finite settings used to run, some to a NaN image.
+    # Non-integer counts used to pass: a NaN inner cap ran uncapped, and
+    # the rest raised TypeError inside the solve.
     nan, inf = float("nan"), float("inf")
+    for name in ("memory", "inner_max_iters", "max_outer_iters"):
+        for bad in (2.5, nan, inf, True, 3.0):
+            with pytest.raises(ValueError, match="integers"):
+                AcquireConfig(lam=1.0, **{name: bad})
+    AcquireConfig(lam=1.0, memory=np.int64(3), inner_max_iters=np.int32(0))
+    # Non-finite settings used to run, some to a NaN image.
     for bad in (dict(lam=nan), dict(mu=nan), dict(tol=nan),
                 dict(max_time=nan), dict(gamma=inf), dict(lam=inf)):
         with pytest.raises(ValueError):
@@ -111,8 +118,9 @@ def test_full_step_satisfies_armijo_on_the_model():
     feasible = FeasibleSet.nonneg()
     x = feasible.project(problem.observed)
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
-    x_hat, _ = sgp_solve(model, feasible, x, SteplengthState(),
-                         max_iters=500, stop_norm_target=1e-12)
+    x_hat, _ = sgp_solve(model, feasible, x, model.gradient(x),
+                         SteplengthState(), max_iters=500,
+                         stop_norm_target=1e-12)
     d = x_hat - x
     slope = float(np.vdot(model.gradient(x), d))
     assert slope < 0
@@ -213,12 +221,14 @@ def test_capped_inner_solve_takes_one_pg_norm_per_iteration(monkeypatch):
     pg_norm = FeasibleSet.pg_norm
     monkeypatch.setattr(FeasibleSet, "pg_norm", lambda self, *args:
                         calls.append(1) or pg_norm(self, *args))
-    _, trace = sgp_solve(model, feasible, x, SteplengthState(), max_iters=10,
-                         stop_norm_target=1e-12)
+    g = model.gradient(x)
+    _, trace = sgp_solve(model, feasible, x, g, SteplengthState(),
+                         max_iters=10, stop_norm_target=1e-12)
     assert trace.iterations == 10 and len(calls) == 10
     assert trace.final_pg_norm > 1e-12
     calls.clear()
-    _, trace = sgp_solve(model, feasible, x, SteplengthState(), max_iters=10)
+    _, trace = sgp_solve(model, feasible, x, g, SteplengthState(),
+                         max_iters=10)
     assert trace.iterations == 10 and len(calls) == 1
 
 
@@ -291,8 +301,8 @@ def test_cached_line_search_matches_direct_evaluation(monkeypatch):
 
 
 def test_acquire_blur_calls_per_outer_iteration():
-    # Two at the start (A x0, and the adjoint in the reference gradient),
-    # then per outer iteration: one adjoint to build the model, one
+    # One at the start (A x0), then per outer iteration: one adjoint to
+    # build the model (whose gradient at the anchor is then free), one
     # Hessian action (A and its adjoint) per inner iteration, and one
     # A d for the outer line search however many trials it makes.  The
     # strict eta makes every outer step backtrack.
@@ -307,7 +317,7 @@ def test_acquire_blur_calls_per_outer_iteration():
         _, trace = acquire_solve(data, FeasibleSet.nonneg(), problem.observed,
                                  toy_config(max_outer_iters=8, **overrides))
         assert len(trace.iters) == 8
-        assert len(calls) == 2 + sum(2 * i + 2 for i in trace.inner_iters)
+        assert len(calls) == 1 + sum(2 * i + 2 for i in trace.inner_iters)
     assert all(a < 1.0 for a in trace.alpha)
 
 
@@ -325,7 +335,7 @@ def test_inner_gradient_recurrence_matches_fresh_gradient():
     pairs = []
     record = state.record
     state.record = lambda z, g: pairs.append((z, g)) or record(z, g)
-    _, inner = sgp_solve(model, feasible, x, state,
+    _, inner = sgp_solve(model, feasible, x, model.gradient(x), state,
                          max_iters=100000, stop_norm_target=1e-10)
     assert inner.final_pg_norm <= 1e-10
     assert len(pairs) == inner.iterations
@@ -389,15 +399,16 @@ def test_sgp_step_writes_only_arrays_it_owns(feasible, monkeypatch):
     x_kept = x.copy()
     state = RecordCheckingState()
     model = OuterModel(data, x, LAM, 1e-2, 1e-5)
-    z1, inner = sgp_solve(model, feasible, x, state, max_iters=15)
+    g0 = model.gradient(x)
+    g0_kept = g0.copy()
+    z1, _ = sgp_solve(model, feasible, x, g0, state, max_iters=15)
     z1_kept = z1.copy()
-    start_gradient = inner.start_gradient.copy()
-    sgp_solve(OuterModel(data, z1, LAM, 1e-2, 1e-5), feasible, z1, state,
-              max_iters=15)
+    model = OuterModel(data, z1, LAM, 1e-2, 1e-5)
+    sgp_solve(model, feasible, z1, model.gradient(z1), state, max_iters=15)
     state.check()
     assert len(state.seen) == 30 and state.seen[15][0] is z1
     assert np.array_equal(x, x_kept) and np.array_equal(z1, z1_kept)
-    assert np.array_equal(inner.start_gradient, start_gradient)
+    assert np.array_equal(g0, g0_kept)
     assert all(np.array_equal(z, kept) for z, kept in state.seen)
 
     monkeypatch.setattr(solver, "SteplengthState", RecordCheckingState)
