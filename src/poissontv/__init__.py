@@ -9,7 +9,7 @@ and benchmark CLI.
 """
 
 from .blur import Psf, BlurOperator, gaussian_psf, motion_psf, disk_psf
-from .kl import PoissonData, kl_value, kl_gradient, kl_hessian_vec, KlQuadraticModel
+from .kl import PoissonData, kl_value, kl_gradient, KlQuadraticModel
 from .tv import tv_mu_value, tv_mu_gradient, TvQuadraticModel
 from .constraints import FeasibleSet, DiagonalMetric
 from .sgp import SteplengthState, sgp_solve
@@ -24,7 +24,6 @@ __all__ = [
     "PoissonData",
     "kl_value",
     "kl_gradient",
-    "kl_hessian_vec",
     "KlQuadraticModel",
     "tv_mu_value",
     "tv_mu_gradient",

@@ -70,11 +70,6 @@ def kl_gradient(data, x, ax=None):
     return data.op.apply_adjoint(_residual_into(data, data.forward(x, ax)))
 
 
-def kl_hessian_vec(data, x, v):
-    """A^T U(x)^2 A v, through the model the solver runs."""
-    return KlQuadraticModel(data, x, 0.0).hessian_vec(v)
-
-
 class KlQuadraticModel:
     """Second-order Taylor model of the divergence, anchored at x_k.
 

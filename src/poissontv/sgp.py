@@ -11,6 +11,8 @@ consecutive calls do not restart from scratch.
 
 from collections import deque
 from dataclasses import dataclass, field
+import math
+import time
 
 import numpy as np
 
@@ -198,7 +200,7 @@ class SgpTrace:
 
 
 def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
-              stop_norm_target=None):
+              stop_norm_target=None, deadline=math.inf):
     """Run scaled gradient projection on a quadratic model (`hessian_vec`)
     over a feasible set from z0, where the model gradient is g0; returns
     (z, SgpTrace).
@@ -206,11 +208,13 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
     One Hessian action H d per iteration gives the model's change along d
     exactly and the next gradient by the recurrence g + rho H d, as in
     Bonettini, Zanella & Zanni (2009).  Stops when the projected-gradient
-    norm reaches `stop_norm_target` after at least one step (a loose
-    target that returned z0 would give the outer solver a zero step,
-    which ends its run as if converged), on the iteration cap, or where
-    the scaled step leaves z in place.  Every iterate is feasible and the
-    model values are monotone (Armijo sufficient decrease of the change).
+    norm reaches `stop_norm_target` or the clock (`time.perf_counter`)
+    reaches `deadline`, either after at least one step (a loose target or
+    a spent budget that returned z0 would give the outer solver a zero
+    step, which ends its run as if converged), on the iteration cap, or
+    where the scaled step leaves z in place.  Every iterate is feasible
+    and the model values are monotone (Armijo sufficient decrease of the
+    change).
 
     The solver writes into the arrays that `hessian_vec` and
     `project_weighted` return, so those must be fresh; it never writes
@@ -223,6 +227,8 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
     trace = SgpTrace()
     pg_norm = None              # at z, once computed
     for _ in range(max_iters):
+        if trace.iterations > 0 and time.perf_counter() >= deadline:
+            break
         if stop_norm_target is not None and trace.iterations > 0:
             pg_norm = feasible_set.pg_norm(z, g)
             if pg_norm <= stop_norm_target:

@@ -12,7 +12,9 @@ step, searched monotonically.
 
 Every objective value and gradient, model build and Hessian action is
 a KL half plus lam times a TV half, which share nothing but x; a solve
-computes its TV halves on a worker of its own (see `acquire_solve`).
+computes its TV halves on a worker of its own (see `acquire_solve`), and
+the SGP baseline's gradient starts from the TV stencil that the value at
+its point left behind (see `_SmoothObjective`).
 """
 
 from collections import deque
@@ -30,7 +32,7 @@ import numpy as np
 
 from .constraints import _dot
 from .kl import KlQuadraticModel, kl_value, kl_gradient
-from .tv import TvQuadraticModel, tv_mu_value, tv_mu_gradient
+from .tv import TvQuadraticModel, TvStencil, tv_mu_value, tv_mu_gradient
 from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState, armijo,
                   relative_change, sgp_direction, sgp_solve)
 from .testbed import relative_error
@@ -212,18 +214,21 @@ def _add_scaled(a, lam, b):
     return a
 
 
-def objective_value(data, x, lam, mu, ax=None, pool=_INLINE):
+def objective_value(data, x, lam, mu, ax=None, pool=_INLINE, tv=None):
     """The smoothed objective: KL divergence plus lam times smoothed TV.
 
     `ax`, when given, is A x (see `PoissonData.forward`).  The TV half
-    runs on `pool`.
+    runs on `pool`; `tv`, when given, is the future of x's TV half,
+    already started there.
     """
-    tv = _submit(pool, tv_mu_value, x, mu)
+    if tv is None:
+        tv = _submit(pool, tv_mu_value, x, mu)
     return kl_value(data, x, ax) + lam * tv.result()
 
 
-def objective_gradient(data, x, lam, mu, ax=None, pool=_INLINE):
-    tv = _submit(pool, tv_mu_gradient, x, mu)
+def objective_gradient(data, x, lam, mu, ax=None, pool=_INLINE, stencil=None):
+    """The smoothed objective's gradient; `stencil` as in `tv_mu_gradient`."""
+    tv = _submit(pool, tv_mu_gradient, x, mu, stencil)
     return _add_scaled(kl_gradient(data, x, ax), lam, tv.result())
 
 
@@ -249,9 +254,11 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     x0 is projected onto the feasible set before use.  Stops on relative
     iterate change <= config.tol, the outer iteration cap, the wall-clock
     budget, or a line search stalled at round-off; `trace.stop_reason`
-    says which.  `on_iterate(k, x, rel_change)` sees each iterate and
-    must not write into x: the solver forms the next step from it, and
-    SGP's steplength state keeps it.
+    says which.  An inner solve that reaches the budget's end stops there,
+    after at least one step, and the outer loop takes its step and stops.
+    `on_iterate(k, x, rel_change)` sees each iterate and must not write
+    into x: the solver forms the next step from it, and SGP's steplength
+    state keeps it.
 
     The TV halves of every evaluation run on one worker thread that lives
     as long as the call, where the process may run on two or more CPUs,
@@ -259,6 +266,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     way the iterates are the same bits.
     """
     start = time.perf_counter()
+    deadline = start + config.max_time
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
     ax = data.op.apply(x)
     state = SteplengthState()
@@ -281,7 +289,8 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
             target = config.theta**k * ref_norm
             x_hat, inner = sgp_solve(model, feasible_set, x, g, state,
                                      max_iters=inner_cap,
-                                     stop_norm_target=target)
+                                     stop_norm_target=target,
+                                     deadline=deadline)
             d = x_hat - x
             return d, _dot(g, d), dict(
                 pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
@@ -297,20 +306,53 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
 
 class _SmoothObjective:
     """value/gradient callbacks for the smoothed objective at x, given A x;
-    the TV halves run on `pool`."""
+    the TV halves run on `pool`.
 
-    def __init__(self, data, lam, mu, pool):
+    Given `stencil_like`, the objective owns a `TvStencil` shaped like it:
+    each value leaves its point's TV stencil there, and a gradient at that
+    point, the next call for it, starts from the stencil.
+    """
+
+    def __init__(self, data, lam, mu, pool, stencil_like=None):
         self.data = data
         self.lam = lam
         self.mu = mu
         self.pool = pool
+        self.stencil = (None if stencil_like is None else
+                        TvStencil(stencil_like))
+        self._stencil_of = None         # the point the stencil holds
 
-    def value(self, x, ax):
-        return objective_value(self.data, x, self.lam, self.mu, ax, self.pool)
+    def start_trial(self, x, d, rho=1.0):
+        """Start the trial x + rho d on the worker: futures of the point,
+        formed there, and of its TV half."""
+        point = _submit(self.pool, _trial, x, d, rho)
+        return point, _submit(self.pool, _tv_value_at, point, self.mu,
+                              self.stencil)
+
+    def value(self, x, ax, tv=None):
+        """The objective at x; `tv` as in `objective_value`."""
+        if tv is None:
+            tv = _submit(self.pool, tv_mu_value, x, self.mu, self.stencil)
+        f = objective_value(self.data, x, self.lam, self.mu, ax, self.pool,
+                            tv)
+        self._stencil_of = x
+        return f
 
     def gradient(self, x, ax):
+        stencil = self.stencil if x is self._stencil_of else None
+        self._stencil_of = None
         return objective_gradient(self.data, x, self.lam, self.mu, ax,
-                                  self.pool)
+                                  self.pool, stencil)
+
+
+def _trial(x, d, rho):
+    """x + rho d; at rho = 1 the product 1.0 d, which is d, is skipped."""
+    return x + d if rho == 1.0 else x + rho * d
+
+
+def _tv_value_at(point, mu, stencil):
+    """The TV half at the point that the future `point` gives."""
+    return tv_mu_value(point.result(), mu, stencil)
 
 
 def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
@@ -328,17 +370,18 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     state = SteplengthState()
     scaled = np.empty_like(x)
     with _solve_executor() as pool:
-        objective = _SmoothObjective(data, config.lam, config.mu, pool)
+        objective = _SmoothObjective(data, config.lam, config.mu, pool, x)
 
         def direction(k, x, ax):
             g = objective.gradient(x, ax)
-            # Before the direction: a non-finite iterate fails here.
-            pg_norm = feasible_set.pg_norm(x, g)
-            found = sgp_direction(feasible_set, x, g, state, scaled)
-            if found is None:
-                return None
-            d, slope = found
-            return d, slope, dict(pg_norm=pg_norm)
+            pg_norm = _submit(pool, feasible_set.pg_norm, x, g)
+            try:
+                found = sgp_direction(feasible_set, x, g, state, scaled)
+            finally:
+                # A non-finite iterate fails here, whatever the direction
+                # made of it.
+                row = dict(pg_norm=pg_norm.result())
+            return None if found is None else (*found, row)
 
         return _line_search_run(objective, x, data.op.apply(x), direction,
                                 1, BETA_LS, BACKTRACK,
@@ -354,15 +397,19 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
     Iteration k takes (d, slope, trace columns) from `direction(k, x, ax)`,
     or ends the run on None, and searches x + rho d with `armijo` against
     the largest of the last `window` objective values.  It applies A once
-    per search, to d, and each trial evaluates at its own fresh pair
-    (x + rho d, A x + rho A d); the accepted trial's pair is the next
-    (x, A x).  It records the iterate with its error and time since
-    `start`, and calls `on_iterate(k, x, rel_change)`.  Stops on
-    `stop(rel_change)` ("tol"), the wall clock ("time"), the iteration
-    cap ("cap"), a search that stalls at round-off ("stalled") or a
-    direction of None ("stationary"), and records which in
-    `trace.stop_reason`.
+    per search, to d, after starting the first trial's TV half on the
+    worker.  Each trial evaluates at its own fresh pair (x + rho d,
+    A x + rho A d), the point formed on the worker beside its TV half and
+    A x + rho A d on the calling thread beside its KL half; the accepted
+    trial's pair is the next (x, A x).  It records the iterate with its
+    error and time since `start`, and calls `on_iterate(k, x,
+    rel_change)`.  Stops on `stop(rel_change)` ("tol"), the wall clock
+    ("time", at `start + config.max_time`), the iteration cap ("cap"), a
+    search that stalls at round-off ("stalled") or a direction of None
+    ("stationary"), and records which in `trace.stop_reason`.
     """
+    deadline = start + config.max_time
+    pool = objective.pool
     f_hist = deque([objective.value(x, ax)], maxlen=window)
     trace = SolverTrace()
     trial = None
@@ -372,30 +419,36 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
             trace.stop_reason = "stationary"
             break
         d, slope, row = found
+        first = objective.start_trial(x, d)
         ad = objective.data.op.apply(d)
 
         def value_at(rho):
             nonlocal trial
-            trial = x + rho * d, ax + rho * ad
-            return objective.value(*trial)
+            point, tv = (first if rho == 1.0 else
+                         objective.start_trial(x, d, rho))
+            ax_trial = _trial(ax, ad, rho)      # as the worker forms point
+            trial = point.result(), ax_trial
+            return objective.value(*trial, tv)
 
         step = armijo(value_at, max(f_hist), slope, eta, delta)
         if step is None:
             trace.stop_reason = "stalled"
             break
         alpha, f_x = step
-        rel_change = relative_change(trial[0], x)
+        change = _submit(pool, relative_change, trial[0], x)
         x, ax = trial
         f_hist.append(f_x)
+        rel_error = _rel_error(x, ground_truth)
+        rel_change = change.result()
         trace.append(iters=k, objective=f_x, rel_change=rel_change,
-                     alpha=alpha, rel_error=_rel_error(x, ground_truth),
+                     alpha=alpha, rel_error=rel_error,
                      time_s=time.perf_counter() - start, **row)
         if on_iterate is not None:
             on_iterate(k, x, rel_change)
         if stop(rel_change):
             trace.stop_reason = "tol"
             break
-        if time.perf_counter() - start >= config.max_time:
+        if time.perf_counter() >= deadline:
             trace.stop_reason = "time"
             break
     else:

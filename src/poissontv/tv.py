@@ -71,32 +71,66 @@ def huber_derivative_factor(norm, mu, out=None):
     return np.divide(1.0, np.maximum(norm, mu, out=out), out=out)
 
 
-def tv_mu_value(x, mu):
+class TvStencil:
+    """Image-sized arrays for one point's stencil: its forward differences
+    `dv` and `dh`, its gradient magnitudes `norms`, and a `work` array.
+
+    `tv_mu_value(x, mu, stencil)` leaves x's differences and norms here,
+    and `tv_mu_gradient(x, mu, stencil)` starts from them and uses them
+    up, so a gradient at an evaluated point repeats none of its stencil.
+    The arrays take the shape and memory layout of `like`, which the
+    points must share for the bits of a fresh evaluation: sums follow the
+    layout.
+    """
+
+    def __init__(self, like):
+        self.dv, self.dh, self.norms, self.work = (
+            np.empty_like(like, dtype=np.float64) for _ in range(4))
+
+    def fill(self, x):
+        """Compute x's differences and norms into the arrays; return self."""
+        forward_diff(x, (self.dv, self.dh))
+        np.multiply(self.dv, self.dv, out=self.norms)
+        np.multiply(self.dh, self.dh, out=self.work)
+        self.norms += self.work
+        np.sqrt(self.norms, out=self.norms)
+        return self
+
+
+def tv_mu_value(x, mu, stencil=None):
     """Smoothed TV: the sum over pixels of the Huber value of the gradient
     magnitude n, which is n above mu and (n^2 / mu + mu) / 2 below.
 
     Summed as n + (mu - min(n, mu))^2 / (2 mu): one sum of the norms and
-    one of the squared shortfalls, with no branch mask.
+    one of the squared shortfalls, with no branch mask.  `stencil`, when
+    given, is a `TvStencil` that keeps x's differences and norms.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    norms = grad_norms(x)
+    if stencil is None:
+        norms = work = grad_norms(x)
+    else:
+        norms, work = stencil.fill(x).norms, stencil.work
     total = float(norms.sum())
-    np.minimum(norms, mu, out=norms)
-    np.subtract(mu, norms, out=norms)
-    np.multiply(norms, norms, out=norms)
-    return total + float(norms.sum()) / (2.0 * mu)
+    np.minimum(norms, mu, out=work)
+    np.subtract(mu, work, out=work)
+    np.multiply(work, work, out=work)
+    return total + float(work.sum()) / (2.0 * mu)
 
 
-def tv_mu_gradient(x, mu):
-    dv, dh = forward_diff(x)
-    f = np.multiply(dv, dv)
-    out = np.multiply(dh, dh)
-    f += out
-    huber_derivative_factor(np.sqrt(f, out=f), mu, out=f)
-    dv *= f
-    dh *= f
-    return diff_adjoint(dv, dh, out=out, work=f)
+def tv_mu_gradient(x, mu, stencil=None):
+    """The smoothed TV's gradient at x, fresh.  `stencil`, when given, is
+    the `TvStencil` that `tv_mu_value(x, mu, stencil)` filled; the
+    gradient starts from it, with the same bits, and uses it up."""
+    kept = stencil is not None
+    if not kept:
+        stencil = TvStencil(x).fill(x)
+    f = huber_derivative_factor(stencil.norms, mu, out=stencil.norms)
+    stencil.dv *= f
+    stencil.dh *= f
+    # Unkept, the work array is fresh and becomes the result.
+    return diff_adjoint(stencil.dv, stencil.dh,
+                        out=None if kept else stencil.work, work=f)
 
 
 class TvQuadraticModel:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,40 @@ def test_capped_inner_solve_takes_one_pg_norm_per_iteration(monkeypatch):
     assert trace.iterations == 10 and len(calls) == 1
 
 
+def test_uncapped_inner_solve_stops_at_the_deadline(monkeypatch):
+    # An uncapped inner solve whose target is far below reach runs until
+    # it stalls, far past a short budget, unless it reads the clock
+    # itself: each inner solve stops at the run's deadline after at most
+    # one more Hessian action, and the outer loop then takes its step and
+    # stops on the clock.
+    problem = make_problem(shepp_logan(64), gaussian_psf(63, 2.0), 35.0, 1)
+    solves = []                 # (deadline, Hessian action times, return)
+    solve = solver.sgp_solve
+
+    def timed(model, *args, deadline, **kwargs):
+        times = []
+        hessian_vec = model.hessian_vec
+        model.hessian_vec = lambda v: (times.append(time.perf_counter())
+                                       or hessian_vec(v))
+        result = solve(model, *args, deadline=deadline, **kwargs)
+        solves.append((deadline, times, time.perf_counter()))
+        return result
+
+    monkeypatch.setattr(solver, "sgp_solve", timed)
+    config = AcquireConfig(lam=6e-3, theta=1e-12, inner_max_iters=0,
+                           tol=0.0, max_time=0.3)
+    start = time.perf_counter()
+    _, trace = acquire_solve(problem.data(), FeasibleSet.nonneg(),
+                             problem.observed, config)
+    assert trace.stop_reason == "time"
+    assert start + config.max_time <= solves[0][0] <= time.perf_counter()
+    deadline, times, returned = solves[-1]
+    assert returned >= deadline and len(trace.iters) == len(solves)
+    assert all(sum(t >= deadline for t in times) <= 1
+               for deadline, times, _ in solves)
+    assert trace.pg_norm[-1] > trace.inner_target[-1]
+
+
 def test_monotone_mode_is_monotone():
     problem = toy_problem()
     config = toy_config(memory=1, max_outer_iters=50)
@@ -285,9 +320,12 @@ def test_cached_line_search_matches_direct_evaluation(monkeypatch):
     za, ta = sgp_restore(data, feasible, x0, config)
     cached_applies = len(applies)
 
-    # Every evaluation ignores the carried A x and applies A itself.
-    monkeypatch.setattr(_SmoothObjective, "value", lambda self, x, ax:
-                        objective_value(self.data, x, self.lam, self.mu))
+    # Every evaluation ignores the carried A x and applies A itself, and
+    # ignores the TV half and stencil started on the worker: each trial
+    # and gradient is evaluated from its point alone.
+    monkeypatch.setattr(_SmoothObjective, "value", lambda self, x, ax,
+                        tv=None: objective_value(self.data, x, self.lam,
+                                                 self.mu))
     monkeypatch.setattr(_SmoothObjective, "gradient", lambda self, x, ax:
                         objective_gradient(self.data, x, self.lam, self.mu))
     zb, tb = sgp_restore(data, feasible, x0, config)
@@ -298,6 +336,35 @@ def test_cached_line_search_matches_direct_evaluation(monkeypatch):
     # trials the line search makes.
     assert cached_applies == 1 + len(ta.iters)
     assert len(applies) - cached_applies > 2 * len(tb.iters)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+def test_gradient_at_accepted_trial_reuses_its_stencil(monkeypatch,
+                                                       constraint, cpus):
+    # Each SGP gradient is taken at the point the line search accepted
+    # last, and its TV half starts from the stencil that point's value
+    # left behind: the same bits as a gradient computed anew.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    problem = toy_problem()
+    data = problem.data()
+    feasible = (FeasibleSet.nonneg() if constraint == "s1" else
+                FeasibleSet.nonneg_flux(float(problem.ground_truth.sum())))
+    gradient = _SmoothObjective.gradient
+    checked = []
+
+    def compared(self, x, ax):
+        reused = x is self._stencil_of
+        fresh = objective_gradient(data, x, self.lam, self.mu, ax)
+        g = gradient(self, x, ax)
+        checked.append(reused and np.array_equal(g, fresh))
+        return g
+
+    monkeypatch.setattr(_SmoothObjective, "gradient", compared)
+    _, trace = sgp_restore(data, feasible, problem.observed,
+                           toy_config(tol=0.0, max_outer_iters=20))
+    assert len(trace.iters) == 20 and min(trace.alpha) < 1.0
+    assert len(checked) == 20 and all(checked)
 
 
 def test_acquire_blur_calls_per_outer_iteration():
@@ -491,6 +558,20 @@ def test_sgp_stops_where_the_scaled_step_stays_put():
                            toy_config(tol=0.0))
     assert trace.stop_reason == "stationary" and trace.iters == []
     assert not x.any()
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+def test_sgp_restore_rejects_a_non_finite_iterate(monkeypatch, cpus):
+    # The projected-gradient norm, taken on the worker beside the
+    # direction, raises its feasibility error, whatever the direction
+    # made of the NaN pixel meanwhile.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    problem = toy_problem()
+    x0 = problem.observed.copy()
+    x0[2, 5] = np.nan
+    with pytest.raises(ValueError, match="point is not feasible"):
+        sgp_restore(problem.data(), FeasibleSet.nonneg(), x0,
+                    toy_config(tol=0.0, max_outer_iters=5))
 
 
 def test_sgp_rows_record_their_armijo_step(monkeypatch):

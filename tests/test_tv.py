@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from poissontv.testbed import shepp_logan
-from poissontv.tv import (TvQuadraticModel, diff_adjoint, forward_diff,
-                          grad_norms, huber_derivative_factor,
+from poissontv.tv import (TvQuadraticModel, TvStencil, diff_adjoint,
+                          forward_diff, grad_norms, huber_derivative_factor,
                           tv_mu_gradient, tv_mu_value)
 
 
@@ -174,6 +174,24 @@ def test_tv_mu_gradient_matches_finite_differences():
     g = tv_mu_gradient(x, mu)
     fd = central_difference_gradient(lambda z: tv_mu_value(z, mu), x)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_kept_stencil_gives_the_same_bits():
+    # A value that keeps its stencil gives the bits of one that does not,
+    # and a gradient started from it those of a gradient computed anew,
+    # in a fresh array.  One stencil serves point after point of the
+    # layout it was made for (a solve's iterates keep one layout, and the
+    # sums follow it).  The phantom has magnitudes on both sides of mu.
+    mu = 1e-2
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        x = layout(shepp_logan(32))
+        stencil = TvStencil(x)
+        for point in (x + 0.3, x * x):
+            assert tv_mu_value(point, mu, stencil) == tv_mu_value(point, mu)
+            g = tv_mu_gradient(point, mu, stencil)
+            assert np.array_equal(g, tv_mu_gradient(point, mu))
+            assert not any(np.shares_memory(g, a)
+                           for a in vars(stencil).values())
 
 
 def test_mu_guards():
