@@ -121,9 +121,11 @@ def _project_flux(v, d, c, bounded=None):
     to be zero or positive at the root.  A Michelot step (JOTA 1986)
     solves the sum with no candidate clipped.  Clipping only raises the
     sum, so that tau is at or below the root, and candidates breaking at
-    or below it end at zero.  If none breaks there, tau is the root.  If
-    the step drops fewer than half of the candidates, a median split over
-    the breakpoints v_i / d_i of the rest (Kiwiel, JOTA 2008) follows.
+    or below it end at zero.  If none breaks there, tau is the root; if
+    all do, the entries already known to be positive, where there are
+    any, fix the root.  If the step drops fewer than half of the
+    candidates, a median split over the breakpoints v_i / d_i of the rest
+    (Kiwiel, JOTA 2008) follows.
     Every round thus at least halves the candidates and partitions at
     most once: at most floor(log2 n) + 1 rounds, O(n) work in all, with
     no sort.
@@ -160,6 +162,8 @@ def _project_flux(v, d, c, bounded=None):
             t, vr, dr = take(up)
             if 2 * n_up <= n:
                 continue
+        elif s_d > 0:           # all end at zero
+            break
         k = t.size // 2
         idx = np.argpartition(t, k)
         m = t[idx[k]]

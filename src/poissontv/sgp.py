@@ -110,21 +110,47 @@ def abbmin_steplength(state, metric, z=None, g=None):
     and grows tau by 1.1; the result is clamped into [NU_MIN, NU_MAX].
     Falls back to the minimum buffered steplength when no iterate pair
     is available yet in this call, and to 1 on a completely cold start.
+
+    Runs `abbmin_iterate_half` and `abbmin_gradient_half` in sequence.
     """
+    ahead = (metric, None) if z is None else abbmin_iterate_half(state, z,
+                                                                  metric)
+    return abbmin_gradient_half(state, *ahead, g)
+
+
+def abbmin_iterate_half(state, z, metric=None):
+    """The terms of `abbmin_steplength` at z that need no gradient, as
+    (C, s'C^-2 s), with C = `scaling_matrix(z)` unless `metric` gives it.
+
+    s C^-1 and s C are left in `state`'s work arrays for
+    `abbmin_gradient_half`; s'C^-2 s is None where no iterate pair is
+    available yet in this call.
+    """
+    if metric is None:
+        metric = scaling_matrix(z)
+    if state.prev_z is None:
+        return metric, None
+    d = metric.d
+    s, _, s_cinv = state.work(z)
+    np.subtract(z, state.prev_z, out=s)
+    np.divide(s, d, out=s_cinv)
+    np.multiply(s, d, out=s)
+    return metric, _dot(s_cinv, s_cinv)
+
+
+def abbmin_gradient_half(state, metric, s_cinv_s_cinv, g):
+    """The ABBmin steplength at gradient g from `abbmin_iterate_half`'s
+    (metric, s_cinv_s_cinv), taken at the iterate g belongs to."""
     clamp = lambda nu: min(max(nu, NU_MIN), NU_MAX)
-    if z is None or state.prev_z is None:
+    if s_cinv_s_cinv is None:
         if state.buffer:
             return clamp(min(state.buffer))
         return 1.0
-    d = metric.d
-    s, w, s_cinv = state.work(z)
-    np.subtract(z, state.prev_z, out=s)
+    s_c, w, s_cinv = state.work(g)
     np.subtract(g, state.prev_g, out=w)
-    np.divide(s, d, out=s_cinv)
     s_cinv_w = _dot(s_cinv, w)
-    s_cinv_s_cinv = _dot(s_cinv, s_cinv)
-    s_c_w = _dot(np.multiply(s, d, out=s), w)
-    wd = np.multiply(w, d, out=w)
+    s_c_w = _dot(s_c, w)
+    wd = np.multiply(w, metric.d, out=w)
     w_cc_w = _dot(wd, wd)
     # A nonpositive curvature term leaves that BB value undefined; it
     # counts as nu_max and the ratio test still runs.  With BB1 = nu_max
@@ -169,17 +195,22 @@ def armijo(trial, f_ref, slope, eta, delta):
     return rho, f_new
 
 
-def sgp_direction(feasible_set, z, g, state, scaled):
+def sgp_direction(feasible_set, z, g, state, scaled, ahead=None):
     """(d, g'd) for the scaled step d = P_C(z - nu C g) - z, projected in
     the metric C = `scaling_matrix(z)` with the ABBmin steplength nu; None
     where g'd >= 0 (z is stationary for the scaled step).  `scaled` is
-    work space shaped like z; d is fresh.
+    work space shaped like z; d is fresh.  `ahead`, when given, is
+    `abbmin_iterate_half(state, z)`, computed before g was.
 
     A returned direction records (z, g) in `state`, by reference: a step
     from z must write only into fresh arrays, never into z or g.
     """
-    metric = scaling_matrix(z)
-    nu = abbmin_steplength(state, metric, z, g)
+    if ahead is None:
+        metric = scaling_matrix(z)
+        nu = abbmin_steplength(state, metric, z, g)
+    else:
+        metric = ahead[0]
+        nu = abbmin_gradient_half(state, *ahead, g)
     # The scaled trial point z - nu d g, formed in place.
     np.multiply(nu, metric.d, out=scaled)
     scaled *= g

@@ -33,8 +33,9 @@ import numpy as np
 from .constraints import _dot
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, TvStencil, tv_mu_value, tv_mu_gradient
-from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState, armijo,
-                  relative_change, sgp_direction, sgp_solve)
+from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState,
+                  abbmin_iterate_half, armijo, relative_change,
+                  sgp_direction, sgp_solve)
 from .testbed import relative_error
 
 # Consecutive iterations the relative-change criterion must hold before
@@ -363,7 +364,9 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
     a monotone search.  Stops as `acquire_solve` does, with the SGP
     relative-change stop (see `stop_rule`), or where the scaled step
     leaves x in place.  `on_iterate` is called as in `acquire_solve`, and
-    must not write into x either; the TV halves run as there.
+    must not write into x either; the TV halves run as there, and so
+    does each steplength's iterate half (`abbmin_iterate_half`), beside
+    the gradient's KL half.
     """
     start = time.perf_counter()
     x = feasible_set.project(np.asarray(x0, dtype=np.float64))
@@ -373,10 +376,12 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
         objective = _SmoothObjective(data, config.lam, config.mu, pool, x)
 
         def direction(k, x, ax):
+            ahead = _submit(pool, abbmin_iterate_half, state, x)
             g = objective.gradient(x, ax)
             pg_norm = _submit(pool, feasible_set.pg_norm, x, g)
             try:
-                found = sgp_direction(feasible_set, x, g, state, scaled)
+                found = sgp_direction(feasible_set, x, g, state, scaled,
+                                      ahead.result())
             finally:
                 # A non-finite iterate fails here, whatever the direction
                 # made of it.

@@ -467,6 +467,19 @@ def test_kernel_unclipped_root_needs_no_partition(monkeypatch):
     assert passes == []
 
 
+def test_kernel_stops_where_every_candidate_ends_at_zero(monkeypatch):
+    # Free entries w = (1, 2, 3) and pins w = (-5, -6): the Michelot tau,
+    # -1, lies above both pins, so both end at zero and the free entries
+    # alone fix the root, with no split.
+    passes = count_partitions(monkeypatch)
+    x = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    w = np.array([1.0, 2.0, 3.0, -5.0, -6.0])
+    out = FeasibleSet.nonneg_flux(3.0).projected_gradient(x, -w)
+    assert_close(out, oracle_tangent(w, x == 0, True), 6.0)
+    assert np.array_equal(out, [-1.0, 0.0, 1.0, 0.0, 0.0])
+    assert passes == []
+
+
 def test_kernel_michelot_and_split_rounds_match_sort_scan(monkeypatch):
     rng = np.random.default_rng(8)
     n = 4096

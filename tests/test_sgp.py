@@ -7,6 +7,7 @@ import pytest
 from poissontv import sgp
 from poissontv.constraints import DiagonalMetric, FeasibleSet
 from poissontv.sgp import (NU_MAX, RelChangeStop, SteplengthState,
+                           abbmin_gradient_half, abbmin_iterate_half,
                            abbmin_steplength, armijo, scaling_matrix,
                            sgp_solve)
 
@@ -195,6 +196,78 @@ def test_abbmin_buffer_fallback_after_begin_call():
     state.begin_call()
     metric = DiagonalMetric(np.ones(2), 1.0, 1.0)
     assert abbmin_steplength(state, metric) == pytest.approx(0.2)
+
+
+def steplength_state(tau_abb, buffer, prev):
+    state = SteplengthState(tau_abb=tau_abb)
+    state.buffer.extend(buffer)
+    if prev is not None:
+        state.record(*prev)
+    return state
+
+
+_rng = np.random.default_rng(4)
+_z = _rng.uniform(0.1, 2.0, 6)
+_g = _rng.standard_normal(6)
+_s = _rng.uniform(0.1, 1.0, 6)
+# (z, g, prev (z, g) or None, tau, buffer, the factor tau changes by)
+AHEAD_CASES = {
+    "cold": (_z, _g, None, 0.5, [], 1.0),
+    "carried-buffer": (_z, _g, None, 0.5, [0.3, 0.7, 0.2], 1.0),
+    # C = diag(z) and w = 2 C^-1 s: BB1 = BB2 = 1/2.
+    "bb1": (_z, _g, (_z - _s, _g - 2 * _s / _z), 0.5, [0.4], 1.1),
+    # Curvature 100 times larger along one axis: BB2 far below BB1.
+    "min-bb2": (_z, _g, (_z - _s, _g - _s / _z * np.r_[1.0, 100, 1, 1, 1, 1]),
+                0.99, [0.4], 0.9),
+    # w = -s: s'C^-1 w < 0 and s'Cw < 0.
+    "nonpositive-both": (_z, _g, (_z - _s, _g + _s), 0.5, [0.4], 1.1),
+    # d = (1e-2, 1), s = (1, 1): s'C^-1 w = -99 <= 0 < s'Cw = 0.99.
+    "nonpositive-bb1": (np.array([1e-2, 1.0]), np.zeros(2),
+                        (np.array([-0.99, 0.0]), np.array([1.0, -1.0])),
+                        0.5, [2.0, 3.0], 0.9),
+    # s'C^-1 w = 99.5 > 0 > s'Cw = -0.49.
+    "nonpositive-bb2": (np.array([1e-2, 1.0]), np.zeros(2),
+                        (np.array([-0.99, 0.0]), np.array([-1.0, 0.5])),
+                        0.5, [2.0], 1.1),
+}
+
+
+def abbmin_reference(z, g, prev, tau, buffer):
+    """ABBmin as SGP states it, written out: (nu, buffer, tau)."""
+    clamp = lambda nu: min(max(nu, sgp.NU_MIN), NU_MAX)
+    if prev is None:
+        return (clamp(min(buffer)) if buffer else 1.0), buffer, tau
+    d = np.clip(z, sgp.SCALE_MIN, sgp.SCALE_MAX)
+    s, w = z - prev[0], g - prev[1]
+    bb1 = (s @ (s / d**2)) / (s @ (w / d)) if s @ (w / d) > 0 else NU_MAX
+    bb2 = (s @ (d * w)) / (w @ (d**2 * w)) if s @ (d * w) > 0 else NU_MAX
+    buffer = (buffer + [clamp(bb2)])[-sgp.BB2_MEMORY:]
+    if bb2 / bb1 < tau:
+        return clamp(min(buffer)), buffer, tau * 0.9
+    return clamp(bb1), buffer, tau * 1.1
+
+
+@pytest.mark.parametrize("case", AHEAD_CASES)
+def test_iterate_terms_computed_ahead_give_the_same_steplength(case):
+    # The SGP baseline computes the iterate half before the gradient
+    # exists; the steplength, buffer and threshold are the same bits as
+    # when `abbmin_steplength` computes both halves itself, and agree
+    # with the rule written out.
+    z, g, prev, tau, buffer, factor = AHEAD_CASES[case]
+    results = []
+    for ahead in (False, True):
+        state = steplength_state(tau, buffer, prev)
+        if ahead:
+            terms = abbmin_iterate_half(state, z)
+            nu = abbmin_gradient_half(state, *terms, g)
+        else:
+            nu = abbmin_steplength(state, scaling_matrix(z), z, g)
+        results.append((nu, list(state.buffer), state.tau_abb))
+    assert results[0] == results[1]
+    nu, buffer, tau_abb = abbmin_reference(z, g, prev, tau, buffer)
+    assert results[0] == (pytest.approx(nu, rel=1e-12),
+                          pytest.approx(buffer, rel=1e-12), tau_abb)
+    assert tau_abb == tau * factor
 
 
 # ----------------------------------------------------------------- solve

@@ -574,6 +574,34 @@ def test_sgp_restore_rejects_a_non_finite_iterate(monkeypatch, cpus):
                     toy_config(tol=0.0, max_outer_iters=5))
 
 
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+def test_sgp_steplength_terms_on_the_worker_keep_the_iterates(monkeypatch,
+                                                              constraint):
+    # On two CPUs the worker computes each steplength's iterate terms
+    # while the calling thread takes the gradient; on one the calling
+    # thread computes them first.  Every iterate is the same bits.
+    problem = toy_problem()
+    feasible = (FeasibleSet.nonneg() if constraint == "s1" else
+                FeasibleSet.nonneg_flux(float(problem.ground_truth.sum())))
+    half = solver.abbmin_iterate_half
+    iterates, threads = {}, {}
+    for cpus in (2, 1):
+        seen = iterates[cpus] = []
+        ran_on = threads[cpus] = set()
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(solver, "abbmin_iterate_half",
+                            lambda *args: ran_on.add(threading.get_ident())
+                            or half(*args))
+        sgp_restore(problem.data(), feasible, problem.observed,
+                    toy_config(tol=0.0, max_outer_iters=20),
+                    on_iterate=lambda k, x, rel_change: seen.append(x.copy()))
+    caller = threading.get_ident()
+    assert threads[1] == {caller} and len(threads[2]) == 1
+    assert caller not in threads[2]
+    assert len(iterates[2]) == len(iterates[1]) == 20
+    assert all(np.array_equal(a, b) for a, b in zip(iterates[2], iterates[1]))
+
+
 def test_sgp_rows_record_their_armijo_step(monkeypatch):
     # Each SGP row holds the accepted step rho, a power of BACKTRACK, and
     # an objective that passes the monotone Armijo test against the row

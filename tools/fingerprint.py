@@ -9,15 +9,22 @@ as the machine allows (with the TV worker on two or more CPUs), and with
 `solver._usable_cpus` patched to 1, so that every TV half runs inline, in
 the calling thread's order.  Each run prints one line: the SHA-256 of the
 restored image and of each trace column below, each cut to its first 16
-hex digits.  Run it on two source trees and compare the output:
+hex digits.
 
-    PYTHONPATH=<other checkout>/src python tools/fingerprint.py > a.txt
-    PYTHONPATH=src python tools/fingerprint.py > b.txt
-    diff a.txt b.txt
+With `--against <checkout>`, it runs this script on that checkout's `src`
+as well, in a subprocess, and prints only the lines where the two trees
+differ (that tree's marked `<`, this tree's `>`) and a count of them; it
+exits 1 on any mismatch:
+
+    PYTHONPATH=src python tools/fingerprint.py --against <other checkout>
 """
 
+import argparse
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -40,7 +47,9 @@ def digest(values):
     return hashlib.sha256(np.asarray(values).tobytes()).hexdigest()[:16]
 
 
-def main():
+def fingerprint_lines():
+    """One line per run, as the module docstring describes."""
+    lines = []
     for label, overrides in PROBLEMS:
         cfg = dict(cli.DEFAULTS, snr=35.0, seed=7, **overrides)
         problem = cli.resolve_problem(cfg)
@@ -58,8 +67,40 @@ def main():
                 solver._usable_cpus = PATHS[0][1]
             fields = [f"x={digest(x)}"] + [
                 f"{name}={digest(getattr(trace, name))}" for name in COLUMNS]
-            print(f"{method}-{label}{path}", *fields)
+            lines.append(" ".join([f"{method}-{label}{path}", *fields]))
+    return lines
+
+
+def lines_of(src):
+    """The lines this script prints when it runs on the package in src."""
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="compare with the solves of this checkout")
+    args = parser.parse_args()
+    if args.against is None:
+        print(*fingerprint_lines(), sep="\n")
+        return 0
+    src = os.path.join(os.path.abspath(args.against), "src")
+    if not os.path.isdir(os.path.join(src, "poissontv")):
+        parser.error(f"no package at {src}/poissontv")
+    theirs = lines_of(src)
+    ours = fingerprint_lines()
+    differ = 0
+    for their, our in itertools.zip_longest(theirs, ours, fillvalue=""):
+        if their != our:
+            differ += 1
+            print(f"< {their}\n> {our}")
+    print(f"{differ} of {max(len(theirs), len(ours))} lines differ "
+          f"from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
