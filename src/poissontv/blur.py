@@ -15,6 +15,10 @@ from .image import load_f64img, save_f64img
 
 _SUM_TOL = 1e-12
 
+# Motion samples per unit length; disk subpixels per pixel side.
+MOTION_SUPERSAMPLE = 64
+DISK_SUPERSAMPLE = 33
+
 
 @dataclass(frozen=True)
 class Psf:
@@ -60,7 +64,7 @@ def gaussian_psf(size, sigma):
     return Psf(k / k.sum())
 
 
-def _segment_pixels(length, angle_deg, supersample, ends=False):
+def _segment_pixels(length, angle_deg, ends=False):
     """Pixel offsets (iy, ix) of a motion segment's midpoint samples, or
     with `ends` of its end samples alone, and the largest offset m, which
     the ends hold: the offsets are monotone along the segment."""
@@ -74,39 +78,39 @@ def _segment_pixels(length, angle_deg, supersample, ends=False):
     # Angle measured counterclockwise from the horizontal axis; rows grow
     # downward, hence the sign flip on the vertical component.
     dx, dy = np.cos(theta), -np.sin(theta)
-    nsamp = max(int(round(supersample * length)), 2)
+    nsamp = max(int(round(MOTION_SUPERSAMPLE * length)), 2)
     i = np.array([0, nsamp - 1.0]) if ends else np.arange(nsamp) * 1.0
     t = (i + 0.5) / nsamp * length - length / 2.0
     iy, ix = np.rint(t * dy).astype(int), np.rint(t * dx).astype(int)
     return iy, ix, max(int(np.abs(ix).max()), int(np.abs(iy).max()))
 
 
-def motion_support(length, angle_deg, supersample=64):
+def motion_support(length, angle_deg):
     """Side of `motion_psf`'s kernel, found without building it."""
-    *_, m = _segment_pixels(length, angle_deg, supersample, ends=True)
+    *_, m = _segment_pixels(length, angle_deg, ends=True)
     return 2 * m + 1
 
 
-def motion_psf(length, angle_deg, supersample=64):
+def motion_psf(length, angle_deg):
     """Linear-motion kernel: a unit-mass line segment rasterized to pixels.
 
     The segment has the given length, passes through the kernel center at
-    the given angle, and is sampled at `supersample` points per unit
+    the given angle, and is sampled at MOTION_SUPERSAMPLE points per unit
     length (midpoint rule) before binning to the pixel grid.
     """
-    iy, ix, m = _segment_pixels(length, angle_deg, supersample)
+    iy, ix, m = _segment_pixels(length, angle_deg)
     k = np.zeros((2 * m + 1, 2 * m + 1))
     np.add.at(k, (iy + m, ix + m), 1.0)
     return Psf(k / k.sum())
 
 
-def _subpixels(centers, supersample):
+def _subpixels(centers):
     """Subpixel center coordinates, one row per pixel center."""
-    sub = (np.arange(supersample) + 0.5) / supersample - 0.5
+    sub = (np.arange(DISK_SUPERSAMPLE) + 0.5) / DISK_SUPERSAMPLE - 0.5
     return np.asarray(centers, dtype=np.float64)[:, None] + sub[None, :]
 
 
-def disk_support(radius, supersample=33):
+def disk_support(radius):
     """Side of `disk_psf`'s kernel, found without building it: of the
     rows the kernel keeps where the disk covers a subpixel, only the rows
     m and m - 1 from the center can miss (by the kernel's own test), and
@@ -114,26 +118,26 @@ def disk_support(radius, supersample=33):
     if not (radius > 0 and np.isfinite(radius * radius)):
         raise ValueError("radius must be positive and finite")
     m = int(np.ceil(radius + 0.5))
-    sq = _subpixels([m, -m, m - 1, 1 - m, 0], supersample) ** 2
+    sq = _subpixels([m, -m, m - 1, 1 - m, 0]) ** 2
     covered = sq.min(axis=1) + sq.min() <= radius**2
     return 2 * int(m - 2 + covered[:2].any() + covered[2:4].any()) + 1
 
 
-def disk_psf(radius, supersample=33):
+def disk_psf(radius):
     """Out-of-focus kernel: per-pixel area fraction covered by a disk.
 
-    Coverage is estimated on a supersample x supersample subpixel grid;
-    the border rows and columns it leaves empty are trimmed (a radius
-    below half a pixel leaves a delta).
+    Coverage is estimated on DISK_SUPERSAMPLE x DISK_SUPERSAMPLE subpixels
+    per pixel; the border rows and columns it leaves empty are trimmed (a
+    radius below half a pixel leaves a delta).
     """
-    side = disk_support(radius, supersample)
+    side = disk_support(radius)
     m = int(np.ceil(radius + 0.5))
     size = 2 * m + 1
-    xx = _subpixels(np.arange(size) - m, supersample).reshape(-1)
+    xx = _subpixels(np.arange(size) - m).reshape(-1)
     d2 = xx[:, None] ** 2 + xx[None, :] ** 2
     inside = (d2 <= radius**2).astype(np.float64)
-    k = inside.reshape(size, supersample, size, supersample).sum(axis=(1, 3))
-    k /= supersample**2
+    n = DISK_SUPERSAMPLE
+    k = inside.reshape(size, n, size, n).sum(axis=(1, 3)) / n**2
     total = k.sum()
     if total == 0:
         raise ValueError("disk too small to cover any subpixel")

@@ -29,13 +29,12 @@ from .blur import (disk_psf, disk_support, gaussian_psf, motion_psf,
 from . import solver
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
-from .solver import AcquireConfig, acquire_solve, sgp_restore, stop_rule
-from .testbed import (PHANTOM_MIN_SIZE, MssimReference, load_problem,
-                      make_problem, relative_error, save_problem,
-                      shepp_logan)
+from .solver import AcquireConfig, RelChangeStop, acquire_solve, sgp_restore
+from .testbed import (MssimReference, load_problem, make_problem,
+                      relative_error, save_problem, shepp_logan)
 
 DEFAULTS = {
-    "problem": "phantom",       # built-in name, image file, or bundle dir
+    "problem": "phantom",       # built-in name, bundle dir, or image file
     "size": 256,                # phantom grid size
     "variant": "modified",      # phantom intensity table
     "blur": "gaussian",         # gaussian | motion | disk
@@ -92,6 +91,8 @@ def load_config(args):
             raise ConfigError(f"field 'config': cannot read {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"field 'config': invalid JSON: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError("field 'config': must hold a JSON object")
         for key, value in user.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"field '{key}': unknown config key")
@@ -140,9 +141,6 @@ def validate_config(cfg):
     for key, default in DEFAULTS.items():
         if type(default) is int and not math.isfinite(cfg[key]):
             raise ConfigError(f"field '{key}': must be finite")
-    if cfg["problem"] == "phantom" and int(cfg["size"]) < PHANTOM_MIN_SIZE:
-        raise ConfigError(
-            f"field 'size': phantom size must be at least {PHANTOM_MIN_SIZE}")
     if cfg["constraint"] not in ("s1", "s2"):
         raise ConfigError("field 'constraint': must be 's1' or 's2'")
     if cfg["blur"] not in ("gaussian", "motion", "disk"):
@@ -176,40 +174,18 @@ def build_psf(cfg, shape):
     return build()
 
 
-def _bundle_meta(cfg):
-    """The meta.json of the bundle the config names; {} for other problems."""
-    name = cfg["problem"]
-    if not os.path.isdir(name):
-        return {}
-    try:
-        with open(os.path.join(name, "meta.json")) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return {}
-
-
-def problem_label(cfg):
-    name = cfg["problem"]
-    if name == "phantom":
-        return "phantom"
-    # Bundles record the name they were generated under.
-    recorded = _bundle_meta(cfg).get("problem")
-    if recorded:
-        return recorded
-    stem = os.path.basename(name.rstrip("/"))
-    return os.path.splitext(stem)[0]
-
-
 def resolve_problem(cfg):
-    """Build or load the test problem named by the config; settings the
-    phantom, PSF or observation reject are reported as ConfigError."""
+    """The test problem the config names: the built-in phantom, else a
+    bundle directory, else a .pgm/.f64img file.  Its name and blur are a
+    bundle's recorded ones, else the file stem and the config's blur.
+    Settings the phantom, PSF or observation reject are ConfigErrors."""
     name = cfg["problem"]
-    bundle = os.path.isdir(name)
+    bundle = name != "phantom" and os.path.isdir(name)
     if not (bundle or name == "phantom"
             or name.endswith((".pgm", ".f64img"))):
         raise ConfigError(f"field 'problem': cannot resolve {name!r} "
-                          "(expected 'phantom', a .pgm/.f64img file, or a "
-                          "bundle directory)")
+                          "(expected 'phantom', a bundle directory, or a "
+                          ".pgm/.f64img file)")
     try:
         if bundle:
             problem = load_problem(name)
@@ -230,6 +206,9 @@ def resolve_problem(cfg):
         raise ConfigError(f"field 'problem': {name} lacks meta entry {exc}")
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"problem settings: {exc}")
+    stem = os.path.splitext(os.path.basename(name.rstrip("/")))[0]
+    problem.name = problem.name or stem
+    problem.blur = problem.blur or cfg["blur"]
     return problem
 
 
@@ -244,8 +223,7 @@ def starting_guess(cfg, problem):
     if mode == "auto":
         # A bundle's blur is the one it was generated with, whatever
         # --blur says.
-        blur = _bundle_meta(cfg).get("blur", cfg["blur"])
-        mode = "observed" if blur == "gaussian" else "flat"
+        mode = "observed" if problem.blur == "gaussian" else "flat"
     if mode == "observed":
         return problem.observed.copy()
     flat = problem.flux / problem.observed.size
@@ -280,11 +258,10 @@ def run_method(method, cfg, problem, tol, on_iterate=None):
                ground_truth=problem.ground_truth, on_iterate=on_iterate)
 
 
-def write_meta(path, cfg, problem=None, extra=None):
+def write_meta(path, cfg, problem, extra=None):
     meta = {key: cfg[key] for key in sorted(DEFAULTS)}
-    if problem is not None:
-        meta["flux"] = problem.flux
-        meta["scale"] = problem.scale
+    meta["flux"] = problem.flux
+    meta["scale"] = problem.scale
     if extra:
         meta.update(extra)
     with open(path, "w") as fh:
@@ -307,11 +284,7 @@ def cmd_generate(args):
     cfg = load_config(args)
     problem = resolve_problem(cfg)
     out = cfg["out"]
-    save_problem(problem, out, extra_meta={
-        "problem": problem_label(cfg),
-        "blur": cfg["blur"],
-        "lambda_hint": cfg["lambda"],
-    })
+    save_problem(problem, out, extra_meta={"lambda_hint": cfg["lambda"]})
     print(f"wrote problem bundle to {out}")
     return 0
 
@@ -337,7 +310,7 @@ def cmd_solve(args):
         "time_s": row["time_s"],
         "stop_reason": row["_trace"].stop_reason,
     })
-    print(f"{method} {problem_label(cfg)} tol={tol:g}: "
+    print(f"{method} {problem.name} tol={tol:g}: "
           f"min rel err {row['min_rel_err']:.4g}, "
           f"mssim {row['mssim']:.4g}, "
           f"{row['iters']} iters, {row['time_s']:.2f} s")
@@ -357,7 +330,7 @@ def sweep_rows(method, cfg, problem, tols):
     """
     pending = list(tols)        # strictly decreasing
     snapshots = {}
-    stops = {tol: stop_rule(method, tol) for tol in tols}
+    stops = {tol: RelChangeStop(method, tol) for tol in tols}
     # Every image the hook reads, cleared after the run: whoever keeps
     # the hook must not keep the images too.
     held = {"truth": problem.ground_truth,
@@ -393,7 +366,6 @@ def sweep_rows(method, cfg, problem, tols):
     finally:
         held.clear()
     rows = []
-    label = problem_label(cfg)
     for tol in tols:
         # Popped: whoever keeps the hook must not keep the images too.
         k, x_tol = snapshots.pop(tol)
@@ -402,7 +374,7 @@ def sweep_rows(method, cfg, problem, tols):
         trace.mssim[idx] = scores[idx + 1]
         rows.append({
             "method": method,
-            "problem": label,
+            "problem": problem.name,
             "snr": cfg["snr"],
             "tol": tol,
             "min_rel_err": errs[idx],
@@ -456,11 +428,28 @@ def cmd_sweep(args):
 
 
 def read_summary(directory):
+    """The rows of a sweep's summary.csv, with tol, min_rel_err and time_s
+    parsed.  A problem names files and is quoted in plot.gp, so one with a
+    path separator or a quote is rejected, as is an unknown method."""
     path = os.path.join(directory, "summary.csv")
     if not os.path.isfile(path):
         raise ConfigError(f"no summary.csv in {directory}")
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
+    try:
+        for row in rows:
+            for key in ("tol", "min_rel_err", "time_s"):
+                row[key] = float(row[key])
+            if row["method"] not in ("acquire", "sgp"):
+                raise ValueError(f"unknown method {row['method']!r}")
+            if not set(row["problem"]).isdisjoint("/\\'\""):
+                raise ValueError(f"problem {row['problem']!r} holds a path "
+                                 "separator or a quote")
+    except KeyError as exc:
+        raise ConfigError(f"{path}: no column {exc}")
+    except (TypeError, ValueError) as exc:  # a short row's cells are None
+        raise ConfigError(f"{path}: {exc}")
+    return rows
 
 
 def cmd_report(args):
@@ -477,10 +466,11 @@ def cmd_report(args):
     for problem in problems:
         prows = [r for r in rows if r["problem"] == problem]
         methods = sorted({r["method"] for r in prows})
-        tols = sorted({float(r["tol"]) for r in prows}, reverse=True)
-        table = {(r["method"], float(r["tol"])): r for r in prows}
-        for metric, suffix in (("min_rel_err", "err_vs_tol"),
-                               ("time_s", "time_vs_tol")):
+        tols = sorted({r["tol"] for r in prows}, reverse=True)
+        table = {(r["method"], r["tol"]): r for r in prows}
+        for metric, suffix, ylabel in (
+                ("min_rel_err", "err_vs_tol", "relative error"),
+                ("time_s", "time_vs_tol", "time (s)")):
             path = os.path.join(out, f"{problem}_{suffix}.dat")
             with open(path, "w") as fh:
                 fh.write("# tol " + " ".join(methods) + "\n")
@@ -488,16 +478,15 @@ def cmd_report(args):
                     cells = [f"{tol:.6g}"]
                     for method in methods:
                         row = table.get((method, tol))
-                        cells.append(f"{float(row[metric]):.6g}"
+                        cells.append(f"{row[metric]:.6g}"
                                      if row else "nan")
                     fh.write(" ".join(cells) + "\n")
-            written.append((problem, suffix, path, methods))
+            written.append((problem, ylabel, path, methods))
+            print(f"wrote {path}")
     script = os.path.join(out, "plot.gp")
     with open(script, "w") as fh:
         fh.write("set logscale x\nset xlabel 'tolerance'\nset key top left\n")
-        for problem, suffix, path, methods in written:
-            ylabel = ("relative error" if suffix == "err_vs_tol"
-                      else "time (s)")
+        for problem, ylabel, path, methods in written:
             fh.write(f"\nset ylabel '{ylabel}'\n")
             fh.write(f"set title '{problem}'\n")
             parts = [f"'{os.path.basename(path)}' using 1:{i + 2} "
@@ -505,8 +494,6 @@ def cmd_report(args):
                      for i, m in enumerate(methods)]
             fh.write("plot " + ", \\\n     ".join(parts) + "\n")
             fh.write("pause -1\n")
-    for _, _, path, _ in written:
-        print(f"wrote {path}")
     print(f"wrote {script}")
     return 0
 
@@ -517,7 +504,7 @@ def cmd_report(args):
 def _add_common_flags(p):
     p.add_argument("--config", metavar="PATH", help="JSON config file")
     p.add_argument("--problem", metavar="NAME",
-                   help="'phantom', an image file, or a bundle directory")
+                   help="'phantom', a bundle directory, or an image file")
     p.add_argument("--size", type=int, help="phantom grid size")
     p.add_argument("--variant", choices=("original", "modified"),
                    help="phantom intensity table")

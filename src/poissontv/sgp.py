@@ -16,26 +16,7 @@ import time
 
 import numpy as np
 
-from .constraints import DiagonalMetric, _dot, _norm
-
-
-def relative_change(new, old):
-    """||new - old|| / ||old||, guarded against a zero old iterate."""
-    return _norm(new - old) / max(_norm(old), np.finfo(float).tiny)
-
-
-class RelChangeStop:
-    """Stop rule: true once the relative iterate change has stayed <= tol
-    for `patience` consecutive iterations."""
-
-    def __init__(self, tol, patience=1):
-        self.tol = tol
-        self.patience = patience
-        self.calm = 0
-
-    def __call__(self, rel_change):
-        self.calm = self.calm + 1 if rel_change <= self.tol else 0
-        return self.calm >= self.patience
+from .constraints import DiagonalMetric, _dot
 
 
 # Armijo line search: sufficient-decrease fraction, backtrack factor and

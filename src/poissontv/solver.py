@@ -30,13 +30,18 @@ import time
 
 import numpy as np
 
-from .constraints import _dot
+from .constraints import _dot, _norm
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, TvStencil, tv_mu_value, tv_mu_gradient
-from .sgp import (BACKTRACK, BETA_LS, RelChangeStop, SteplengthState,
-                  abbmin_iterate_half, armijo, relative_change,
-                  sgp_direction, sgp_solve)
+from .sgp import (BACKTRACK, BETA_LS, SteplengthState, abbmin_iterate_half,
+                  armijo, sgp_direction, sgp_solve)
 from .testbed import relative_error
+
+
+def relative_change(new, old):
+    """||new - old|| / ||old||, guarded against a zero old iterate."""
+    return _norm(new - old) / max(_norm(old), np.finfo(float).tiny)
+
 
 # Consecutive iterations the relative-change criterion must hold before
 # the standalone SGP run stops: wide enough to span one full cycle of
@@ -45,15 +50,19 @@ from .testbed import relative_error
 SGP_STOP_PATIENCE = 7
 
 
-def stop_rule(method, tol):
-    """The relative-change stop of `method` ("acquire" or "sgp") at tol.
+class RelChangeStop:
+    """The relative-change stop of `method` ("acquire" or "sgp") at tol:
+    true once the change has stayed <= tol for `patience` consecutive
+    iterations, 1 for ACQUIRE and SGP_STOP_PATIENCE for SGP."""
 
-    ACQUIRE stops on the first change <= tol.  The adaptive
-    Barzilai-Borwein rule emits short bursts of tiny steps followed by a
-    large recovery step, so SGP stops only after SGP_STOP_PATIENCE
-    consecutive ones.
-    """
-    return RelChangeStop(tol, SGP_STOP_PATIENCE if method == "sgp" else 1)
+    def __init__(self, method, tol):
+        self.tol = tol
+        self.patience = SGP_STOP_PATIENCE if method == "sgp" else 1
+        self.calm = 0
+
+    def __call__(self, rel_change):
+        self.calm = self.calm + 1 if rel_change <= self.tol else 0
+        return self.calm >= self.patience
 
 
 class _InlineExecutor(Executor):
@@ -301,7 +310,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
 
         return _line_search_run(objective, x, ax, direction, config.memory,
                                 config.eta, config.delta,
-                                stop_rule("acquire", config.tol), config,
+                                RelChangeStop("acquire", config.tol), config,
                                 start, ground_truth, on_iterate)
 
 
@@ -362,7 +371,7 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
 
     Each direction is one step of the inner solver (`sgp_direction`), with
     a monotone search.  Stops as `acquire_solve` does, with the SGP
-    relative-change stop (see `stop_rule`), or where the scaled step
+    relative-change stop (see `RelChangeStop`), or where the scaled step
     leaves x in place.  `on_iterate` is called as in `acquire_solve`, and
     must not write into x either; the TV halves run as there, and so
     does each steplength's iterate half (`abbmin_iterate_half`), beside
@@ -390,8 +399,8 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
 
         return _line_search_run(objective, x, data.op.apply(x), direction,
                                 1, BETA_LS, BACKTRACK,
-                                stop_rule("sgp", config.tol), config, start,
-                                ground_truth, on_iterate)
+                                RelChangeStop("sgp", config.tol), config,
+                                start, ground_truth, on_iterate)
 
 
 def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,

@@ -20,6 +20,12 @@ from .kl import PoissonData
 
 PHANTOM_MIN_SIZE = 32
 
+# MSSIM's window side and width, and its constants' dynamic-range shares.
+MSSIM_WINDOW = 11
+MSSIM_SIGMA = 1.5
+MSSIM_K1 = 0.01
+MSSIM_K2 = 0.03
+
 # MATLAB-convention ellipse tables: intensity, half-axes a (x) and b (y),
 # center (x0, y0), rotation in degrees.  The "original" intensities follow
 # the 1974 head phantom; "modified" is the common high-contrast variant.
@@ -123,6 +129,8 @@ class TestProblem:
     snr_db: float
     seed: int
     scale: float                  # the unit-max divisor
+    name: str | None = None       # the label of the run's problem
+    blur: str | None = None       # its blur kind: gaussian, motion or disk
 
     @property
     def scaled_background(self):
@@ -213,13 +221,13 @@ class MssimReference:
     (fully overlapping) window positions.
     """
 
-    def __init__(self, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
+    def __init__(self, x_star):
         self.x_star = np.asarray(x_star, dtype=np.float64)
         data_range = float(self.x_star.max() - self.x_star.min())
-        self.c1 = (k1 * data_range) ** 2
-        self.c2 = (k2 * data_range) ** 2
-        u = np.arange(window_size) - window_size // 2
-        g = np.exp(-(u * u) / (2.0 * sigma * sigma))
+        self.c1 = (MSSIM_K1 * data_range) ** 2
+        self.c2 = (MSSIM_K2 * data_range) ** 2
+        u = np.arange(MSSIM_WINDOW) - MSSIM_WINDOW // 2
+        g = np.exp(-(u * u) / (2.0 * MSSIM_SIGMA * MSSIM_SIGMA))
         self.g = g / g.sum()
         self.mu2 = self._filter(self.x_star)
         self.var2 = self._filter(self.x_star * self.x_star) - self.mu2 * self.mu2
@@ -263,9 +271,9 @@ class MssimReference:
         return float(np.mean(ssim))
 
 
-def mssim(x, x_star, window_size=11, sigma=1.5, k1=0.01, k2=0.03):
+def mssim(x, x_star):
     """Mean structural similarity of x against x_star (see MssimReference)."""
-    return MssimReference(x_star, window_size, sigma, k1, k2)(x)
+    return MssimReference(x_star)(x)
 
 
 def save_problem(problem, directory, extra_meta=None):
@@ -281,6 +289,8 @@ def save_problem(problem, directory, extra_meta=None):
         "background": problem.background,
         "flux": problem.flux,
         "scale": problem.scale,
+        "problem": problem.name,
+        "blur": problem.blur,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -289,11 +299,16 @@ def save_problem(problem, directory, extra_meta=None):
 
 
 def load_problem(directory):
+    """A `save_problem` bundle, with its recorded name and blur or None."""
     ground_truth = load_f64img(os.path.join(directory, "ground_truth.f64img"))
     observed = load_f64img(os.path.join(directory, "observed.f64img"))
     psf = Psf.load(os.path.join(directory, "psf.f64img"))
     with open(os.path.join(directory, "meta.json")) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json must hold a JSON object")
+    if not {type(meta["background"]), type(meta["scale"])} <= {int, float}:
+        raise ValueError("meta entries background and scale must be numbers")
     r, s = observed.shape
     return TestProblem(
         ground_truth=ground_truth,
@@ -305,4 +320,6 @@ def load_problem(directory):
         snr_db=meta["snr_db"],
         seed=meta["seed"],
         scale=meta["scale"],
+        name=meta.get("problem"),
+        blur=meta.get("blur"),
     )

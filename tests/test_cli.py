@@ -259,11 +259,49 @@ def test_report_shapes(tmp_path):
     assert os.path.isfile(os.path.join(plots, "plot.gp"))
 
 
-def test_report_missing_summary_errors(tmp_path):
+def test_report_missing_summary_errors(tmp_path, capsys):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)
     assert run("report", empty) == 2
     assert not os.path.isfile(os.path.join(empty, "plot.gp"))
+    # Summaries report cannot use: a missing column, a number that does
+    # not parse, a short row, an unknown method, or a problem that would
+    # name a file elsewhere or break plot.gp's quoted strings.  The first
+    # two used to end in a traceback, and `../../x` wrote its data two
+    # directories above --out.
+    good = {"method": "acquire", "problem": "phantom", "snr": "35",
+            "tol": "0.01", "min_rel_err": "0.2", "mssim": "0.9",
+            "iters": "3", "time_s": "0.5"}
+    bad_rows = [{k: v for k, v in good.items() if k != "time_s"},
+                dict(good, tol="abc"), dict(good, min_rel_err=""),
+                dict(good, method="both"), dict(good, problem="../../x"),
+                dict(good, problem="a'b"), dict(good, problem='a"b'),
+                dict(good, problem="a\\b")]
+    summary = tmp_path / "sweep" / "summary.csv"
+    summary.parent.mkdir()
+    plots = tmp_path / "deep" / "er" / "plots"
+    for row in bad_rows:
+        with open(summary, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row),
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows([good, row])
+        capsys.readouterr()
+        assert run("report", str(summary.parent), "--out", str(plots)) == 2
+        assert str(summary) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "deep"), row
+    summary.write_text(summary.read_text().splitlines()[0] + "\n"
+                       "acquire,phantom,35,0.01\n")
+    assert run("report", str(summary.parent), "--out", str(plots)) == 2
+    assert not os.path.exists(tmp_path / "deep")
+    # The good row alone is reported.
+    with open(summary, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(good))
+        writer.writeheader()
+        writer.writerow(good)
+    assert run("report", str(summary.parent), "--out", str(plots)) == 0
+    assert (plots / "phantom_err_vs_tol.dat").read_text() == (
+        "# tol acquire\n0.01 0.2\n")
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -289,6 +327,13 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
     assert run("solve", "--config", str(cfg), "--out", out) == 2
+    # A config file holding JSON other than an object, which used to end
+    # in an AttributeError traceback.
+    for user in ([1, 2], "abc"):
+        cfg.write_text(json.dumps(user))
+        capsys.readouterr()
+        assert run("solve", "--config", str(cfg), "--out", out) == 2, user
+        assert "field 'config'" in capsys.readouterr().err, user
     # Unresolvable problem path.
     assert run("solve", *BASE, "--problem", "missing.pgm", "--out", out) == 2
     # Negative inner iteration cap (0 is the only "uncapped" value).
@@ -370,7 +415,8 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     assert run("solve", "--problem", str(bad), "--out", out) == 2
     assert "PGM sample outside 0..6" in capsys.readouterr().err
     # Bundles with a missing image, a malformed or incomplete meta.json,
-    # or a negative scale, which used to end in a traceback.
+    # a negative scale, a meta.json other than an object, or a scale or
+    # background other than a number, which used to end in a traceback.
     bundle = str(tmp_path / "bundle")
     assert run("generate", *GEN, "--out", bundle) == 0
     meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
@@ -380,7 +426,13 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             ("meta.json", "{", "problem settings"),
             ("meta.json", json.dumps(meta), "lacks meta entry 'seed'"),
             ("meta.json", json.dumps(dict(meta, seed=4, scale=-1)),
-             "background must be positive"))):
+             "background must be positive"),
+            ("meta.json", "[]", "must hold a JSON object"),
+            ("meta.json", '"str"', "must hold a JSON object"),
+            ("meta.json", json.dumps(dict(meta, seed=4, scale="x")),
+             "must be numbers"),
+            ("meta.json", json.dumps(dict(meta, seed=4, background=[1, 2])),
+             "must be numbers"))):
         broken = tmp_path / f"broken{i}"
         broken.mkdir()
         for item in os.listdir(bundle):
@@ -452,3 +504,55 @@ def test_auto_start_follows_the_blur_recorded_in_a_bundle(tmp_path):
     problem = resolve_problem(cfg)
     x0 = starting_guess(cfg, problem)
     assert np.all(x0 == problem.flux / x0.size)
+
+
+def test_sweep_on_a_bundle_reads_its_meta_once(tmp_path, monkeypatch):
+    # The loaded problem carries the bundle's recorded name and blur, so
+    # labels and starting guesses read the problem, not the disk.
+    bundle = str(tmp_path / "bundle")
+    assert run("generate", *GEN, "--blur", "motion", "--out", bundle) == 0
+    meta = os.path.abspath(os.path.join(bundle, "meta.json"))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and (
+                os.path.abspath(file) == meta):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run("sweep", "--problem", bundle, "--method", "both",
+               "--tol", "1e-2", "--max-iters", "3", "--out",
+               str(tmp_path / "sweep")) == 0
+    assert len(opened) == 1
+
+
+def test_phantom_names_the_built_in_phantom_whatever_the_cwd_holds(
+        tmp_path, monkeypatch):
+    # A bundle directory named phantom/ in the working directory, made
+    # from another image with another blur and recording another name.
+    cfg = dict(DEFAULTS, size=32, snr=30.0, seed=4)
+    expected = resolve_problem(cfg)
+    from poissontv.image import save_pgm
+    from poissontv.testbed import shepp_logan
+    save_pgm(tmp_path / "square.pgm", shepp_logan(48))
+    monkeypatch.chdir(tmp_path)
+    assert run("generate", "--problem", "square.pgm", "--blur", "motion",
+               "--out", "phantom") == 0
+    assert json.loads((tmp_path / "phantom" / "meta.json").read_text())[
+        "problem"] == "square"
+    problem = resolve_problem(cfg)
+    assert np.array_equal(problem.observed, expected.observed)
+    assert np.array_equal(starting_guess(cfg, problem), expected.observed)
+    assert problem.name == "phantom" and problem.blur == "gaussian"
+    # The CLI labels it "phantom" and checks --size as a phantom size.
+    assert run("sweep", "--size", "32", "--snr", "30", "--seed", "4",
+               "--method", "acquire", "--tol", "1e-2", "--max-iters", "3",
+               "--out", "sweep") == 0
+    rows = read_csv(tmp_path / "sweep" / "summary.csv")
+    assert [row["problem"] for row in rows] == ["phantom"]
+    restored = load_f64img(tmp_path / "sweep" / "restored_acquire_tol1e-02"
+                           ".f64img")
+    assert restored.shape == (32, 32)
+    assert run("sweep", "--size", "16", "--out", "small") == 2

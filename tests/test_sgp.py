@@ -6,10 +6,10 @@ import pytest
 
 from poissontv import sgp
 from poissontv.constraints import DiagonalMetric, FeasibleSet
-from poissontv.sgp import (NU_MAX, RelChangeStop, SteplengthState,
-                           abbmin_gradient_half, abbmin_iterate_half,
-                           abbmin_steplength, armijo, scaling_matrix,
-                           sgp_solve)
+from poissontv.sgp import (NU_MAX, SteplengthState, abbmin_gradient_half,
+                           abbmin_iterate_half, abbmin_steplength, armijo,
+                           scaling_matrix, sgp_solve)
+from poissontv.solver import SGP_STOP_PATIENCE, RelChangeStop
 
 
 class Quadratic:
@@ -441,15 +441,18 @@ def test_nan_gradient_on_s1_raises():
 
 
 def test_rel_change_stop():
-    stop = RelChangeStop(1e-3)
+    # ACQUIRE stops on the first change <= tol.
+    stop = RelChangeStop("acquire", 1e-3)
+    assert stop.patience == 1
     assert [stop(c) for c in (1e-2, 2e-3, 1e-3)] == [False, False, True]
 
 
 def test_rel_change_patience_delays_stop():
     # The alternating Barzilai-Borwein steplengths produce transiently
-    # tiny steps; with patience p the small-change criterion must hold on
-    # p consecutive iterations, and one larger change starts the count
-    # again.
-    stop = RelChangeStop(1e-5, patience=4)
-    changes = [1e-6, 1e-6, 1e-6, 1e-2, 1e-6, 1e-6, 1e-6, 1e-5]
-    assert [stop(c) for c in changes] == [False] * 7 + [True]
+    # tiny steps; SGP's small-change criterion must hold on p consecutive
+    # iterations, and one larger change starts the count again.
+    stop = RelChangeStop("sgp", 1e-5)
+    p = stop.patience
+    assert p == SGP_STOP_PATIENCE > 1
+    changes = [1e-6] * (p - 1) + [1e-2] + [1e-6] * (p - 1) + [1e-5]
+    assert [stop(c) for c in changes] == [False] * (2 * p - 1) + [True]

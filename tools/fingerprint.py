@@ -1,5 +1,5 @@
-"""Fingerprint a fixed set of capped solves, to check that a change keeps
-the iterates' bits.
+"""Fingerprint a fixed set of capped solves and CLI outputs, to check that
+a change keeps the iterates' bits and the files the CLI writes.
 
 Each run restores the 256x256 phantom at SNR 35, seed 7, with lambda 6e-3,
 mu 1e-2, tol 0 and no clock: ACQUIRE for 10 outer iterations and SGP for
@@ -11,6 +11,12 @@ the calling thread's order.  Each run prints one line: the SHA-256 of the
 restored image and of each trace column below, each cut to its first 16
 hex digits.
 
+Then, in a fresh working directory, it runs the CLI capped as in
+CLI_RUNS: `generate` writes a 64x64 motion-blur bundle, and `sweep
+--method both` restores it over S2 at three tolerances.  Each written
+file prints one line: its path and the digest of its contents, with
+every `time_s` column dropped.  The printed output is not digested.
+
 With `--against <checkout>`, it runs this script on that checkout's `src`
 as well, in a subprocess, and prints only the lines where the two trees
 differ (that tree's marked `<`, this tree's `>`) and a count of them; it
@@ -20,11 +26,15 @@ exits 1 on any mismatch:
 """
 
 import argparse
+import contextlib
+import csv
 import hashlib
+import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -41,6 +51,13 @@ PROBLEMS = (("gauss-s1-flat", dict(blur="gaussian", constraint="s1",
                                     start="flat")))
 METHODS = (("acquire", acquire_solve, 10), ("sgp", sgp_restore, 40))
 PATHS = (("", solver._usable_cpus), ("-inline", lambda: 1))
+CLI_RUNS = (["generate", "--size", "64", "--blur", "motion", "--len", "11",
+             "--angle", "45", "--snr", "35", "--seed", "7", "--out",
+             "bundle"],
+            ["sweep", "--problem", "bundle", "--method", "both",
+             "--constraint", "s2", "--lambda", "6e-3", "--mu", "1e-2",
+             "--tol", "1e-1,1e-2,1e-3", "--max-iters", "40",
+             "--max-time", "1e9", "--out", "sweep"])
 
 
 def digest(values):
@@ -71,6 +88,39 @@ def fingerprint_lines():
     return lines
 
 
+def _untimed(path):
+    """The bytes of a written file; a CSV file's without its time_s
+    column."""
+    if not path.endswith(".csv"):
+        with open(path, "rb") as fh:
+            return fh.read()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name != "time_s"]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+
+
+def cli_output_lines():
+    """One line per file that the CLI_RUNS write, as the module docstring
+    describes."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for argv in CLI_RUNS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(f"poissontv {argv[0]} failed")
+            paths = sorted(os.path.join(root, name)[2:]
+                           for root, _, names in os.walk(".")
+                           for name in names)
+            return [f"cli-{path} "
+                    f"{hashlib.sha256(_untimed(path)).hexdigest()[:16]}"
+                    for path in paths]
+        finally:
+            os.chdir(home)
+
+
 def lines_of(src):
     """The lines this script prints when it runs on the package in src."""
     out = subprocess.run([sys.executable, os.path.abspath(__file__)],
@@ -82,16 +132,16 @@ def lines_of(src):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", metavar="CHECKOUT",
-                        help="compare with the solves of this checkout")
+                        help="compare with the outputs of this checkout")
     args = parser.parse_args()
     if args.against is None:
-        print(*fingerprint_lines(), sep="\n")
+        print(*fingerprint_lines(), *cli_output_lines(), sep="\n")
         return 0
     src = os.path.join(os.path.abspath(args.against), "src")
     if not os.path.isdir(os.path.join(src, "poissontv")):
         parser.error(f"no package at {src}/poissontv")
     theirs = lines_of(src)
-    ours = fingerprint_lines()
+    ours = fingerprint_lines() + cli_output_lines()
     differ = 0
     for their, our in itertools.zip_longest(theirs, ours, fillvalue=""):
         if their != our:
