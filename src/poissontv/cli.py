@@ -30,8 +30,9 @@ from . import solver
 from .constraints import FeasibleSet
 from .image import load_f64img, load_pgm, save_f64img, save_pgm
 from .solver import AcquireConfig, RelChangeStop, acquire_solve, sgp_restore
-from .testbed import (MssimReference, load_problem, make_problem,
-                      relative_error, save_problem, shepp_logan)
+from .testbed import (BLURS, MssimReference, is_plain_name, load_problem,
+                      make_problem, relative_error, save_problem,
+                      shepp_logan)
 
 DEFAULTS = {
     "problem": "phantom",       # built-in name, bundle dir, or image file
@@ -143,7 +144,7 @@ def validate_config(cfg):
             raise ConfigError(f"field '{key}': must be finite")
     if cfg["constraint"] not in ("s1", "s2"):
         raise ConfigError("field 'constraint': must be 's1' or 's2'")
-    if cfg["blur"] not in ("gaussian", "motion", "disk"):
+    if cfg["blur"] not in BLURS:
         raise ConfigError("field 'blur': must be gaussian, motion or disk")
     if cfg["start"] not in ("auto", "observed", "flat"):
         raise ConfigError("field 'start': must be auto, observed or flat")
@@ -174,13 +175,18 @@ def build_psf(cfg, shape):
     return build()
 
 
+def is_bundle(name):
+    """Whether `--problem` names a bundle: a directory other than phantom."""
+    return name != "phantom" and os.path.isdir(name)
+
+
 def resolve_problem(cfg):
     """The test problem the config names: the built-in phantom, else a
     bundle directory, else a .pgm/.f64img file.  Its name and blur are a
     bundle's recorded ones, else the file stem and the config's blur.
     Settings the phantom, PSF or observation reject are ConfigErrors."""
     name = cfg["problem"]
-    bundle = name != "phantom" and os.path.isdir(name)
+    bundle = is_bundle(name)
     if not (bundle or name == "phantom"
             or name.endswith((".pgm", ".f64img"))):
         raise ConfigError(f"field 'problem': cannot resolve {name!r} "
@@ -282,6 +288,9 @@ def _tol_tag(tol):
 
 def cmd_generate(args):
     cfg = load_config(args)
+    if is_bundle(cfg["problem"]):
+        raise ConfigError(f"field 'problem': generate takes the phantom or "
+                          f"an image, not the bundle {cfg['problem']!r}")
     problem = resolve_problem(cfg)
     out = cfg["out"]
     save_problem(problem, out, extra_meta={"lambda_hint": cfg["lambda"]})
@@ -375,7 +384,7 @@ def sweep_rows(method, cfg, problem, tols):
         rows.append({
             "method": method,
             "problem": problem.name,
-            "snr": cfg["snr"],
+            "snr": problem.snr_db,
             "tol": tol,
             "min_rel_err": errs[idx],
             "mssim": scores[idx + 1],
@@ -388,16 +397,8 @@ def sweep_rows(method, cfg, problem, tols):
 
 
 def write_summary(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["method"], row["problem"], f"{row['snr']:.17g}",
-                f"{row['tol']:.17g}", f"{row['min_rel_err']:.17g}",
-                f"{row['mssim']:.17g}", row["iters"],
-                f"{row['time_s']:.17g}",
-            ])
+    solver.write_csv(path, SUMMARY_COLUMNS,
+                     ([row[name] for name in SUMMARY_COLUMNS] for row in rows))
 
 
 def cmd_sweep(args):
@@ -442,7 +443,7 @@ def read_summary(directory):
                 row[key] = float(row[key])
             if row["method"] not in ("acquire", "sgp"):
                 raise ValueError(f"unknown method {row['method']!r}")
-            if not set(row["problem"]).isdisjoint("/\\'\""):
+            if not is_plain_name(row["problem"]):
                 raise ValueError(f"problem {row['problem']!r} holds a path "
                                  "separator or a quote")
     except KeyError as exc:
@@ -508,7 +509,7 @@ def _add_common_flags(p):
     p.add_argument("--size", type=int, help="phantom grid size")
     p.add_argument("--variant", choices=("original", "modified"),
                    help="phantom intensity table")
-    p.add_argument("--blur", choices=("gaussian", "motion", "disk"))
+    p.add_argument("--blur", choices=BLURS)
     p.add_argument("--sigma", type=float, help="gaussian blur width")
     p.add_argument("--psf-size", dest="psf_size", type=int,
                    help="gaussian support size (0 = full image)")

@@ -78,7 +78,7 @@ def scaling_matrix(z):
                           SCALE_MAX)
 
 
-def abbmin_steplength(state, metric, z=None, g=None):
+def abbmin_steplength(state, metric, z, g):
     """ABBmin steplength (Frassoldati, Zanghirati & Zanni 2008) in the
     metric C = diag(metric), as SGP states it (Bonettini, Zanella & Zanni
     2009).
@@ -94,9 +94,8 @@ def abbmin_steplength(state, metric, z=None, g=None):
 
     Runs `abbmin_iterate_half` and `abbmin_gradient_half` in sequence.
     """
-    ahead = (metric, None) if z is None else abbmin_iterate_half(state, z,
-                                                                  metric)
-    return abbmin_gradient_half(state, *ahead, g)
+    metric, s_cinv_s_cinv = abbmin_iterate_half(state, z, metric)
+    return abbmin_gradient_half(state, metric, s_cinv_s_cinv, g)
 
 
 def abbmin_iterate_half(state, z, metric=None):
@@ -176,22 +175,15 @@ def armijo(trial, f_ref, slope, eta, delta):
     return rho, f_new
 
 
-def sgp_direction(feasible_set, z, g, state, scaled, ahead=None):
+def sgp_direction(feasible_set, z, g, metric, nu, state, scaled):
     """(d, g'd) for the scaled step d = P_C(z - nu C g) - z, projected in
-    the metric C = `scaling_matrix(z)` with the ABBmin steplength nu; None
-    where g'd >= 0 (z is stationary for the scaled step).  `scaled` is
-    work space shaped like z; d is fresh.  `ahead`, when given, is
-    `abbmin_iterate_half(state, z)`, computed before g was.
+    the metric C = diag(`metric.d`) with steplength nu; None where
+    g'd >= 0 (z is stationary for the scaled step).  `scaled` is work
+    space shaped like z; d is fresh.
 
     A returned direction records (z, g) in `state`, by reference: a step
     from z must write only into fresh arrays, never into z or g.
     """
-    if ahead is None:
-        metric = scaling_matrix(z)
-        nu = abbmin_steplength(state, metric, z, g)
-    else:
-        metric = ahead[0]
-        nu = abbmin_gradient_half(state, *ahead, g)
     # The scaled trial point z - nu d g, formed in place.
     np.multiply(nu, metric.d, out=scaled)
     scaled *= g
@@ -247,7 +239,9 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
                 break
         elif not feasible_set.contains(z):    # pg_norm's own check
             raise ValueError("point is not feasible")
-        found = sgp_direction(feasible_set, z, g, state, scaled)
+        metric = scaling_matrix(z)
+        nu = abbmin_steplength(state, metric, z, g)
+        found = sgp_direction(feasible_set, z, g, metric, nu, state, scaled)
         if found is None:
             break
         direction, slope = found

@@ -12,9 +12,9 @@ step, searched monotonically.
 
 Every objective value and gradient, model build and Hessian action is
 a KL half plus lam times a TV half, which share nothing but x; a solve
-computes its TV halves on a worker of its own (see `acquire_solve`), and
-the SGP baseline's gradient starts from the TV stencil that the value at
-its point left behind (see `_SmoothObjective`).
+computes its TV halves on a worker of its own (see `acquire_solve`), each
+value's into the TV stencil its objective owns, where the SGP baseline's
+gradient at that point starts (see `_SmoothObjective`).
 """
 
 from collections import deque
@@ -33,8 +33,8 @@ import numpy as np
 from .constraints import _dot, _norm
 from .kl import KlQuadraticModel, kl_value, kl_gradient
 from .tv import TvQuadraticModel, TvStencil, tv_mu_value, tv_mu_gradient
-from .sgp import (BACKTRACK, BETA_LS, SteplengthState, abbmin_iterate_half,
-                  armijo, sgp_direction, sgp_solve)
+from .sgp import (BACKTRACK, BETA_LS, SteplengthState, abbmin_gradient_half,
+                  abbmin_iterate_half, armijo, sgp_direction, sgp_solve)
 from .testbed import relative_error
 
 
@@ -182,12 +182,17 @@ class SolverTrace:
         """Write the trace as CSV; `last` truncates to the first rows."""
         columns = [getattr(self, name)
                    for name, _ in zip(self.COLUMNS, self.CSV_COLUMNS)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for row in islice(zip(*columns), last):
-                writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                                 for v in row])
+        write_csv(path, self.CSV_COLUMNS, islice(zip(*columns), last))
+
+
+def write_csv(path, header, rows):
+    """Write the header and rows as CSV, floats at .17g (read back exact)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
 
 
 class OuterModel:
@@ -282,7 +287,7 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
     state = SteplengthState()
     inner_cap = config.inner_max_iters if config.inner_max_iters > 0 else 100000
     with _solve_executor() as pool:
-        objective = _SmoothObjective(data, config.lam, config.mu, pool)
+        objective = _SmoothObjective(data, config.lam, config.mu, pool, x)
         ref_norm = None
 
         def direction(k, x, ax):
@@ -318,18 +323,17 @@ class _SmoothObjective:
     """value/gradient callbacks for the smoothed objective at x, given A x;
     the TV halves run on `pool`.
 
-    Given `stencil_like`, the objective owns a `TvStencil` shaped like it:
-    each value leaves its point's TV stencil there, and a gradient at that
-    point, the next call for it, starts from the stencil.
+    The objective owns a `TvStencil` shaped like `like`: each value leaves
+    its point's TV stencil there, and a gradient at that point, the next
+    call for it, starts from the stencil.
     """
 
-    def __init__(self, data, lam, mu, pool, stencil_like=None):
+    def __init__(self, data, lam, mu, pool, like):
         self.data = data
         self.lam = lam
         self.mu = mu
         self.pool = pool
-        self.stencil = (None if stencil_like is None else
-                        TvStencil(stencil_like))
+        self.stencil = TvStencil(like)
         self._stencil_of = None         # the point the stencil holds
 
     def start_trial(self, x, d, rho=1.0):
@@ -389,8 +393,10 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
             g = objective.gradient(x, ax)
             pg_norm = _submit(pool, feasible_set.pg_norm, x, g)
             try:
-                found = sgp_direction(feasible_set, x, g, state, scaled,
-                                      ahead.result())
+                metric, s_cinv_s_cinv = ahead.result()
+                nu = abbmin_gradient_half(state, metric, s_cinv_s_cinv, g)
+                found = sgp_direction(feasible_set, x, g, metric, nu, state,
+                                      scaled)
             finally:
                 # A non-finite iterate fails here, whatever the direction
                 # made of it.

@@ -19,6 +19,7 @@ from .image import load_f64img, save_f64img
 from .kl import PoissonData
 
 PHANTOM_MIN_SIZE = 32
+BLURS = ("gaussian", "motion", "disk")      # the blur kinds a problem has
 
 # MSSIM's window side and width, and its constants' dynamic-range shares.
 MSSIM_WINDOW = 11
@@ -276,6 +277,12 @@ def mssim(x, x_star):
     return MssimReference(x_star)(x)
 
 
+def is_plain_name(name):
+    """Whether a problem name, which names report files and is quoted in
+    plot.gp, is a string with no path separator or quote."""
+    return isinstance(name, str) and set(name).isdisjoint("/\\'\"")
+
+
 def save_problem(problem, directory, extra_meta=None):
     """Persist a problem bundle: images as F64IMG plus a meta.json."""
     os.makedirs(directory, exist_ok=True)
@@ -307,8 +314,14 @@ def load_problem(directory):
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError("meta.json must hold a JSON object")
-    if not {type(meta["background"]), type(meta["scale"])} <= {int, float}:
-        raise ValueError("meta entries background and scale must be numbers")
+    if not {type(meta[key]) for key in ("background", "scale", "snr_db")
+            } <= {int, float}:
+        raise ValueError("meta background, scale and snr_db must be numbers")
+    name, blur = meta.get("problem"), meta.get("blur")
+    if blur not in (None, *BLURS) or not (name is None or is_plain_name(name)):
+        raise ValueError(f"meta entries problem {name!r} and blur {blur!r}: "
+                         "a name holds no path separator or quote, and a "
+                         "blur is one of " + ", ".join(BLURS))
     r, s = observed.shape
     return TestProblem(
         ground_truth=ground_truth,
@@ -320,6 +333,6 @@ def load_problem(directory):
         snr_db=meta["snr_db"],
         seed=meta["seed"],
         scale=meta["scale"],
-        name=meta.get("problem"),
-        blur=meta.get("blur"),
+        name=name,
+        blur=blur,
     )

@@ -44,23 +44,6 @@ def diff_adjoint(pv, ph, out=None, work=None):
     return out
 
 
-def _squares_into(dv, dh):
-    """Overwrite dv with dv^2 + dh^2 (dh with dh^2); return dv."""
-    np.multiply(dv, dv, out=dv)
-    np.multiply(dh, dh, out=dh)
-    dv += dh
-    return dv
-
-
-def _norms_into(dv, dh):
-    """Overwrite dv with sqrt(dv^2 + dh^2) (dh with dh^2); return dv."""
-    return np.sqrt(_squares_into(dv, dh), out=dv)
-
-
-def grad_norms(x):
-    return _norms_into(*forward_diff(x))
-
-
 def huber_derivative_factor(norm, mu, out=None):
     """Per-pixel factor 1/max(norm, mu) multiplying the stencil term.
 
@@ -75,9 +58,10 @@ class TvStencil:
     """Image-sized arrays for one point's stencil: its forward differences
     `dv` and `dh`, its gradient magnitudes `norms`, and a `work` array.
 
-    `tv_mu_value(x, mu, stencil)` leaves x's differences and norms here,
-    and `tv_mu_gradient(x, mu, stencil)` starts from them and uses them
-    up, so a gradient at an evaluated point repeats none of its stencil.
+    `fill` is the only pass that forms differences and norms for a TV
+    value, gradient or model.  `tv_mu_value(x, mu, stencil)` leaves x's
+    here, and `tv_mu_gradient(x, mu, stencil)` starts from them and uses
+    them up, so a gradient at an evaluated point repeats none of them.
     The arrays take the shape and memory layout of `like`, which the
     points must share for the bits of a fresh evaluation: sums follow the
     layout.
@@ -97,6 +81,10 @@ class TvStencil:
         return self
 
 
+def grad_norms(x):
+    return TvStencil(x).fill(x).norms
+
+
 def tv_mu_value(x, mu, stencil=None):
     """Smoothed TV: the sum over pixels of the Huber value of the gradient
     magnitude n, which is n above mu and (n^2 / mu + mu) / 2 below.
@@ -107,10 +95,8 @@ def tv_mu_value(x, mu, stencil=None):
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if stencil is None:
-        norms = work = grad_norms(x)
-    else:
-        norms, work = stencil.fill(x).norms, stencil.work
+    stencil = (TvStencil(x) if stencil is None else stencil).fill(x)
+    norms, work = stencil.norms, stencil.work
     total = float(norms.sum())
     np.minimum(norms, mu, out=work)
     np.subtract(mu, work, out=work)
@@ -122,15 +108,12 @@ def tv_mu_gradient(x, mu, stencil=None):
     """The smoothed TV's gradient at x, fresh.  `stencil`, when given, is
     the `TvStencil` that `tv_mu_value(x, mu, stencil)` filled; the
     gradient starts from it, with the same bits, and uses it up."""
-    kept = stencil is not None
-    if not kept:
+    if stencil is None:
         stencil = TvStencil(x).fill(x)
     f = huber_derivative_factor(stencil.norms, mu, out=stencil.norms)
     stencil.dv *= f
     stencil.dh *= f
-    # Unkept, the work array is fresh and becomes the result.
-    return diff_adjoint(stencil.dv, stencil.dh,
-                        out=None if kept else stencil.work, work=f)
+    return diff_adjoint(stencil.dv, stencil.dh, work=f)
 
 
 class TvQuadraticModel:
@@ -142,26 +125,28 @@ class TvQuadraticModel:
     anchor match the smoothed TV's; the curvature operator is constant
     and positive semidefinite.
 
-    The model owns three image-sized scratch arrays; `value`, `gradient`
-    and `hessian_vec` reuse them, and the latter two return a fresh array
-    unless given one to write into.
+    Of its anchor's `TvStencil` the model keeps the norms as weights and
+    the rest as scratch for `value`, `gradient` and `hessian_vec`; the
+    latter two return a fresh array unless given one to write into.
     """
 
     def __init__(self, x_k, mu):
         if mu <= 0:
             raise ValueError("mu must be positive")
-        self._dv, self._dh = forward_diff(x_k)
-        self._work = np.empty_like(self._dv)
-        # A fresh array, not the scratch: value and gradient overwrite that.
-        clamped = np.maximum(_norms_into(self._dv, self._dh), mu)
+        stencil = TvStencil(x_k).fill(x_k)
+        self._dv, self._dh, self._work = stencil.dv, stencil.dh, stencil.work
+        clamped = np.maximum(stencil.norms, mu, out=stencil.norms)
         self.mu = mu
         self.constant = 0.5 * float(clamped.sum())
         self.weights = huber_derivative_factor(clamped, mu, out=clamped)
 
     def value(self, x):
-        q = _squares_into(*forward_diff(x, (self._dv, self._dh)))
-        q *= self.weights
-        return float(0.5 * q.sum() + self.constant)
+        dv, dh = forward_diff(x, (self._dv, self._dh))
+        dv *= dv
+        dh *= dh
+        dv += dh
+        dv *= self.weights
+        return float(0.5 * dv.sum() + self.constant)
 
     def gradient(self, x, out=None):
         """The model gradient at x, in `out` when given, else fresh."""

@@ -415,8 +415,11 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     assert run("solve", "--problem", str(bad), "--out", out) == 2
     assert "PGM sample outside 0..6" in capsys.readouterr().err
     # Bundles with a missing image, a malformed or incomplete meta.json,
-    # a negative scale, a meta.json other than an object, or a scale or
-    # background other than a number, which used to end in a traceback.
+    # a negative scale, a meta.json other than an object, or a scale,
+    # background or SNR other than a number, which used to end in a
+    # traceback; and bundles recording a name that would name a file
+    # elsewhere or break plot.gp's quoted strings, or an unknown blur,
+    # which used to sweep and write the name into summary.csv.
     bundle = str(tmp_path / "bundle")
     assert run("generate", *GEN, "--out", bundle) == 0
     meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
@@ -432,7 +435,21 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             ("meta.json", json.dumps(dict(meta, seed=4, scale="x")),
              "must be numbers"),
             ("meta.json", json.dumps(dict(meta, seed=4, background=[1, 2])),
-             "must be numbers"))):
+             "must be numbers"),
+            ("meta.json", json.dumps(dict(meta, seed=4, snr_db="30")),
+             "must be numbers"),
+            ("meta.json", json.dumps(dict(meta, seed=4, problem="../../x")),
+             "no path separator or quote"),
+            ("meta.json", json.dumps(dict(meta, seed=4, problem="a\\b")),
+             "no path separator or quote"),
+            ("meta.json", json.dumps(dict(meta, seed=4, problem="a'b")),
+             "no path separator or quote"),
+            ("meta.json", json.dumps(dict(meta, seed=4, problem='a"b')),
+             "no path separator or quote"),
+            ("meta.json", json.dumps(dict(meta, seed=4, problem=5)),
+             "no path separator or quote"),
+            ("meta.json", json.dumps(dict(meta, seed=4, blur="bogus")),
+             "blur 'bogus': a name holds"))):
         broken = tmp_path / f"broken{i}"
         broken.mkdir()
         for item in os.listdir(bundle):
@@ -493,6 +510,48 @@ def test_sweep_from_bundle_uses_recorded_name(tmp_path):
         "--out", out)
     rows = read_csv(os.path.join(out, "summary.csv"))
     assert rows[0]["problem"] == "phantom"
+
+
+def test_bundle_may_leave_its_name_and_blur_unrecorded(tmp_path):
+    # A null name or blur falls back to the directory's name and --blur.
+    bundle = tmp_path / "old"
+    assert run("generate", *GEN, "--out", str(bundle)) == 0
+    meta = json.loads((bundle / "meta.json").read_text())
+    (bundle / "meta.json").write_text(
+        json.dumps(dict(meta, problem=None, blur=None)))
+    problem = resolve_problem(dict(DEFAULTS, problem=str(bundle),
+                                   blur="disk"))
+    assert (problem.name, problem.blur) == ("old", "disk")
+
+
+def test_summary_snr_is_the_problems_own(tmp_path):
+    # A bundle fixes its noise: its sweep reports the SNR it was
+    # generated at, not --snr, which the bundle ignores.
+    bundle = str(tmp_path / "bundle")
+    assert run("generate", *GEN, "--out", bundle) == 0
+    out = str(tmp_path / "sweep")
+    assert run("sweep", "--problem", bundle, "--snr", "35", "--tol", "1e-2",
+               "--max-iters", "3", "--out", out) == 0
+    assert [row["snr"] for row in read_csv(os.path.join(out,
+                                                        "summary.csv"))] \
+        == ["30"]
+
+
+def test_generate_refuses_a_bundle(tmp_path, capsys):
+    # Regenerating a bundle used to re-save it as loaded, ignoring every
+    # noise and blur flag; now it writes nothing, into --out or the
+    # bundle itself.
+    bundle = tmp_path / "bundle"
+    assert run("generate", *GEN, "--out", str(bundle)) == 0
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+    for out in (tmp_path / "again", bundle):
+        capsys.readouterr()
+        assert run("generate", "--problem", str(bundle), "--snr", "20",
+                   "--seed", "99", "--blur", "motion", "--out",
+                   str(out)) == 2
+        assert "not the bundle" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
 
 def test_auto_start_follows_the_blur_recorded_in_a_bundle(tmp_path):

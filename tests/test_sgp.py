@@ -86,7 +86,7 @@ def test_default_scaling_floor_keeps_small_pixels_positive():
 def test_abbmin_cold_start_is_one():
     state = SteplengthState()
     metric = DiagonalMetric(np.ones(2), 1.0, 1.0)
-    assert abbmin_steplength(state, metric) == 1.0
+    assert abbmin_steplength(state, metric, np.ones(2), np.ones(2)) == 1.0
 
 
 def test_abbmin_unit_curvature():
@@ -195,7 +195,8 @@ def test_abbmin_buffer_fallback_after_begin_call():
     state.buffer.extend([0.3, 0.7, 0.2])
     state.begin_call()
     metric = DiagonalMetric(np.ones(2), 1.0, 1.0)
-    assert abbmin_steplength(state, metric) == pytest.approx(0.2)
+    assert abbmin_steplength(state, metric, np.ones(2),
+                             np.ones(2)) == pytest.approx(0.2)
 
 
 def steplength_state(tau_abb, buffer, prev):

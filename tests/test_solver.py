@@ -17,7 +17,7 @@ from poissontv.solver import (AcquireConfig, OuterModel, SolverTrace,
                               objective_gradient, objective_value,
                               sgp_restore)
 from poissontv.testbed import make_problem, shepp_logan
-from poissontv.tv import TvQuadraticModel, tv_mu_gradient
+from poissontv.tv import TvQuadraticModel, TvStencil, tv_mu_gradient
 
 
 LAM = 1e-3
@@ -365,6 +365,37 @@ def test_gradient_at_accepted_trial_reuses_its_stencil(monkeypatch,
                            toy_config(tol=0.0, max_outer_iters=20))
     assert len(trace.iters) == 20 and min(trace.alpha) < 1.0
     assert len(checked) == 20 and all(checked)
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+@pytest.mark.parametrize("run", [acquire_solve, sgp_restore],
+                         ids=["acquire", "sgp"])
+def test_every_tv_value_fills_the_stencil_its_objective_owns(monkeypatch,
+                                                             run, cpus):
+    # The start value and every line-search trial, of either method, write
+    # their TV stencil into the one stencil their objective owns: no
+    # value allocates a stencil of its own.
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+    objectives, stencils = [], []
+    init, value = _SmoothObjective.__init__, solver.tv_mu_value
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        objectives.append(self)
+
+    def recorded_value(x, mu, stencil=None):
+        stencils.append(stencil)
+        return value(x, mu, stencil)
+
+    monkeypatch.setattr(_SmoothObjective, "__init__", recorded_init)
+    monkeypatch.setattr(solver, "tv_mu_value", recorded_value)
+    problem = toy_problem()
+    _, trace = run(problem.data(), FeasibleSet.nonneg(), problem.observed,
+                   toy_config(tol=0.0, max_outer_iters=10))
+    [objective] = objectives
+    assert isinstance(objective.stencil, TvStencil)
+    assert len(stencils) > len(trace.iters) == 10
+    assert all(stencil is objective.stencil for stencil in stencils)
 
 
 def test_acquire_blur_calls_per_outer_iteration():

@@ -12,10 +12,12 @@ restored image and of each trace column below, each cut to its first 16
 hex digits.
 
 Then, in a fresh working directory, it runs the CLI capped as in
-CLI_RUNS: `generate` writes a 64x64 motion-blur bundle, and `sweep
---method both` restores it over S2 at three tolerances.  Each written
-file prints one line: its path and the digest of its contents, with
-every `time_s` column dropped.  The printed output is not digested.
+CLI_RUNS: `generate` writes a 64x64 motion-blur bundle, `sweep --method
+both` restores it over S2 at three tolerances, `solve` runs SGP on it
+over S1 for 20 iterations, and `report` turns the sweep into plot data.
+Each written file prints one line: its path and the digest of its
+contents, less what the clock sets (see `_untimed`).  The printed output
+is not digested.
 
 With `--against <checkout>`, it runs this script on that checkout's `src`
 as well, in a subprocess, and prints only the lines where the two trees
@@ -31,6 +33,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -57,7 +60,11 @@ CLI_RUNS = (["generate", "--size", "64", "--blur", "motion", "--len", "11",
             ["sweep", "--problem", "bundle", "--method", "both",
              "--constraint", "s2", "--lambda", "6e-3", "--mu", "1e-2",
              "--tol", "1e-1,1e-2,1e-3", "--max-iters", "40",
-             "--max-time", "1e9", "--out", "sweep"])
+             "--max-time", "1e9", "--out", "sweep"],
+            ["solve", "--problem", "bundle", "--method", "sgp",
+             "--lambda", "6e-3", "--mu", "1e-2", "--tol", "1e-3",
+             "--max-iters", "20", "--max-time", "1e9", "--out", "solve"],
+            ["report", "sweep", "--out", "report"])
 
 
 def digest(values):
@@ -89,15 +96,27 @@ def fingerprint_lines():
 
 
 def _untimed(path):
-    """The bytes of a written file; a CSV file's without its time_s
-    column."""
-    if not path.endswith(".csv"):
+    """The bytes of a written file, less what the clock sets: a CSV
+    file's time_s column, a JSON file's time_s entry, and the times in a
+    report's time table, whose header and tolerance column stay."""
+    if path.endswith(".csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [i for i, name in enumerate(rows[0]) if name != "time_s"]
+        rows = [[row[i] for i in keep] for row in rows]
+    elif path.endswith(".json"):
+        with open(path) as fh:
+            meta = json.load(fh)
+        meta.pop("time_s", None)
+        return json.dumps(meta, sort_keys=True).encode()
+    elif path.endswith("_time_vs_tol.dat"):
+        with open(path) as fh:
+            rows = [line.split()[:None if line.startswith("#") else 1]
+                    for line in fh]
+    else:
         with open(path, "rb") as fh:
             return fh.read()
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    keep = [i for i, name in enumerate(rows[0]) if name != "time_s"]
-    return "\n".join(",".join(row[i] for i in keep) for row in rows).encode()
+    return "\n".join(",".join(row) for row in rows).encode()
 
 
 def cli_output_lines():
