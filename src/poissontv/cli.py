@@ -10,8 +10,9 @@ Verbs:
             plot script
 
 Configuration is a flat JSON document; command-line flags override config
-values; every effective value (including defaults) is echoed into the
-meta.json written next to the results, so runs are self-describing.
+values; every effective value (including defaults, and a bundle's own
+noise and blur) is echoed into the meta.json written next to the results,
+so runs are self-describing.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -34,40 +36,6 @@ from .testbed import (BLURS, MssimReference, is_plain_name, load_problem,
                       make_problem, relative_error, save_problem,
                       shepp_logan)
 
-DEFAULTS = {
-    "problem": "phantom",       # built-in name, bundle dir, or image file
-    "size": 256,                # phantom grid size
-    "variant": "modified",      # phantom intensity table
-    "blur": "gaussian",         # gaussian | motion | disk
-    "sigma": 2.0,               # gaussian width
-    "psf_size": 0,              # gaussian support; 0 = full image
-    "length": 11,               # motion blur length (pixels)
-    "angle": 45.0,              # motion blur direction (degrees)
-    "radius": 4,                # out-of-focus disk radius (pixels)
-    "snr": 35.0,
-    "seed": 1,
-    "background": 1e-10,        # per-pixel background counts
-    "method": "acquire",        # acquire | sgp | both (sweep only)
-    "lambda": 6e-3,
-    "mu": AcquireConfig.mu,
-    "gamma": AcquireConfig.gamma,
-    "eta": AcquireConfig.eta,
-    "delta": AcquireConfig.delta,
-    "memory": AcquireConfig.memory,
-    "theta": AcquireConfig.theta,
-    "inner_max_iters": AcquireConfig.inner_max_iters,  # 0 = uncapped
-    "constraint": "s1",         # s1 (nonneg) | s2 (nonneg + flux)
-    "start": "auto",            # auto | observed | flat
-    "tol": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
-    "max_time": AcquireConfig.max_time,
-    "max_iters": AcquireConfig.max_outer_iters,
-    "monotone": False,
-    "out": "results",
-}
-
-SUMMARY_COLUMNS = ("method", "problem", "snr", "tol", "min_rel_err",
-                   "mssim", "iters", "time_s")
-
 
 class ConfigError(ValueError):
     pass
@@ -75,10 +43,71 @@ class ConfigError(ValueError):
 
 def _parse_tol_list(text):
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigError("field 'tol': entries must be numbers")
-    return values
+
+
+# The verbs that make a problem, and the two of them that run a solver.
+PROBLEM, SOLVER = ("generate", "solve", "sweep"), ("solve", "sweep")
+
+
+def _key(default, help=None, verbs=SOLVER, **flag):
+    return types.SimpleNamespace(default=default, help=help, verbs=verbs,
+                                 flag=flag)
+
+
+# Every config key, in --help order: its default, its flag's help text (by
+# verb where they differ), the verbs whose flags set it (none: config files
+# only), and the flag's add_argument keywords that differ from the derived
+# ones: --<key> with - for _, typed like the default.  validate_config
+# checks a key's `choices`, which its flag shows as its metavar.
+KEYS = {
+    "problem": _key("phantom", "'phantom', a bundle directory, or an "
+                    "image file", PROBLEM, metavar="NAME"),
+    "size": _key(256, "phantom grid size", PROBLEM),
+    "variant": _key("modified", "phantom intensity table", PROBLEM,
+                    choices=("original", "modified")),
+    "blur": _key("gaussian", None, PROBLEM, choices=BLURS),
+    "sigma": _key(2.0, "gaussian blur width", PROBLEM),
+    "psf_size": _key(0, "gaussian support size (0 = full image)", PROBLEM),
+    "length": _key(11, "motion blur length", PROBLEM, option="--len",
+                   type=float),
+    "angle": _key(45.0, "motion blur angle (deg)", PROBLEM),
+    "radius": _key(4, "out-of-focus disk radius", PROBLEM, type=float),
+    "snr": _key(35.0, "target SNR (dB)", PROBLEM),
+    "seed": _key(1, None, PROBLEM),
+    "background": _key(1e-10, None, PROBLEM),   # per-pixel counts
+    "out": _key("results", "output directory", PROBLEM, metavar="DIR"),
+    "method": _key("acquire", "acquire, sgp, or both", metavar="METHOD",
+                   choices=("acquire", "sgp", "both")),
+    "lambda": _key(6e-3, dict(generate="regularization hint recorded in "
+                              "the bundle", solve="regularization weight",
+                              sweep="regularization weight"), PROBLEM),
+    "mu": _key(AcquireConfig.mu, "Huber smoothing threshold"),
+    "gamma": _key(AcquireConfig.gamma),
+    "eta": _key(AcquireConfig.eta, verbs=()),
+    "delta": _key(AcquireConfig.delta, verbs=()),
+    "memory": _key(AcquireConfig.memory, verbs=()),
+    "theta": _key(AcquireConfig.theta, "inner stop ratio"),
+    "inner_max_iters": _key(AcquireConfig.inner_max_iters, "inner iteration "
+                            "cap (0 = uncapped)", option="--inner-iters"),
+    "tol": _key([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
+                "comma-separated tolerances, strictly decreasing",
+                type=_parse_tol_list, metavar="LIST"),
+    "constraint": _key("s1", None, choices=("s1", "s2")),
+    "start": _key("auto", None, choices=("auto", "observed", "flat")),
+    "max_time": _key(AcquireConfig.max_time, "wall-clock budget per run (s)"),
+    "max_iters": _key(AcquireConfig.max_outer_iters),
+    "monotone": _key(False, "monotone line search", action="store_const",
+                     const=True),
+}
+DEFAULTS = {key: row.default for key, row in KEYS.items()}
+CHOICES = {key: row.flag["choices"] for key, row in KEYS.items()
+           if "choices" in row.flag}
+
+SUMMARY_COLUMNS = ("method", "problem", "snr", "tol", "min_rel_err",
+                   "mssim", "iters", "time_s")
 
 
 def load_config(args):
@@ -106,9 +135,10 @@ def load_config(args):
     return cfg
 
 
-def _check_types(cfg):
-    """Each field has the JSON type of its default, tol that of a number
-    or a list of numbers; a config file can hold any value."""
+def validate_config(cfg):
+    """Each field has its default's JSON type (tol: a number or a list of
+    numbers), as a config file can hold any value; an integer one is
+    finite for int(); a choice key holds one of its choices."""
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     for key, default in DEFAULTS.items():
@@ -121,10 +151,12 @@ def _check_types(cfg):
             ok = number(value)
         if not ok:
             raise ConfigError(f"field '{key}': {value!r} has the wrong type")
-
-
-def validate_config(cfg):
-    _check_types(cfg)
+        if type(default) is int and not math.isfinite(value):
+            raise ConfigError(f"field '{key}': must be finite")
+        if key in CHOICES and value not in CHOICES[key]:
+            *rest, last = CHOICES[key]
+            raise ConfigError(f"field '{key}': must be {', '.join(rest)} "
+                              f"or {last}")
     tol = cfg["tol"]
     tol = [float(t) for t in (tol if isinstance(tol, list) else [tol])]
     if not tol:
@@ -138,18 +170,6 @@ def validate_config(cfg):
     # itself reads an infinite budget as none.
     if not math.isfinite(cfg["max_time"]):
         raise ConfigError("field 'max_time': must be finite")
-    # int() takes no NaN or infinity.
-    for key, default in DEFAULTS.items():
-        if type(default) is int and not math.isfinite(cfg[key]):
-            raise ConfigError(f"field '{key}': must be finite")
-    if cfg["constraint"] not in ("s1", "s2"):
-        raise ConfigError("field 'constraint': must be 's1' or 's2'")
-    if cfg["blur"] not in BLURS:
-        raise ConfigError("field 'blur': must be gaussian, motion or disk")
-    if cfg["start"] not in ("auto", "observed", "flat"):
-        raise ConfigError("field 'start': must be auto, observed or flat")
-    if cfg["method"] not in ("acquire", "sgp", "both"):
-        raise ConfigError("field 'method': must be acquire, sgp or both")
     try:
         solver_config(cfg, tol[-1])
     except ValueError as exc:
@@ -183,8 +203,10 @@ def is_bundle(name):
 def resolve_problem(cfg):
     """The test problem the config names: the built-in phantom, else a
     bundle directory, else a .pgm/.f64img file.  Its name and blur are a
-    bundle's recorded ones, else the file stem and the config's blur.
-    Settings the phantom, PSF or observation reject are ConfigErrors."""
+    bundle's recorded ones, else the file stem and the config's blur; the
+    name, which labels summary rows and names report files, holds no path
+    separator or quote.  Settings the phantom, PSF or observation reject
+    are ConfigErrors."""
     name = cfg["problem"]
     bundle = is_bundle(name)
     if not (bundle or name == "phantom"
@@ -214,6 +236,9 @@ def resolve_problem(cfg):
         raise ConfigError(f"problem settings: {exc}")
     stem = os.path.splitext(os.path.basename(name.rstrip("/")))[0]
     problem.name = problem.name or stem
+    if not is_plain_name(problem.name):
+        raise ConfigError(f"field 'problem': the name {problem.name!r} "
+                          "holds a path separator or a quote")
     problem.blur = problem.blur or cfg["blur"]
     return problem
 
@@ -266,6 +291,13 @@ def run_method(method, cfg, problem, tol, on_iterate=None):
 
 def write_meta(path, cfg, problem, extra=None):
     meta = {key: cfg[key] for key in sorted(DEFAULTS)}
+    if is_bundle(cfg["problem"]):
+        # A bundle's noise and blur are its own, and it does not record
+        # the settings that shaped its image and PSF.
+        meta.update(dict.fromkeys(("size", "variant", "sigma", "psf_size",
+                                   "length", "angle", "radius")),
+                    snr=problem.snr_db, seed=problem.seed,
+                    background=problem.background, blur=problem.blur)
     meta["flux"] = problem.flux
     meta["scale"] = problem.scale
     if extra:
@@ -502,45 +534,20 @@ def cmd_report(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--problem", metavar="NAME",
-                   help="'phantom', a bundle directory, or an image file")
-    p.add_argument("--size", type=int, help="phantom grid size")
-    p.add_argument("--variant", choices=("original", "modified"),
-                   help="phantom intensity table")
-    p.add_argument("--blur", choices=BLURS)
-    p.add_argument("--sigma", type=float, help="gaussian blur width")
-    p.add_argument("--psf-size", dest="psf_size", type=int,
-                   help="gaussian support size (0 = full image)")
-    p.add_argument("--len", dest="length", type=float,
-                   help="motion blur length")
-    p.add_argument("--angle", type=float, help="motion blur angle (deg)")
-    p.add_argument("--radius", type=float, help="out-of-focus disk radius")
-    p.add_argument("--snr", type=float, help="target SNR (dB)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--background", type=float)
-    p.add_argument("--out", metavar="DIR", help="output directory")
-
-
-def _add_solver_flags(p):
-    p.add_argument("--method", help="acquire, sgp, or both")
-    p.add_argument("--lambda", dest="lambda", type=float,
-                   help="regularization weight")
-    p.add_argument("--mu", type=float, help="Huber smoothing threshold")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--theta", type=float, help="inner stop ratio")
-    p.add_argument("--inner-iters", dest="inner_max_iters", type=int,
-                   help="inner iteration cap (0 = uncapped)")
-    p.add_argument("--tol", type=_parse_tol_list, metavar="LIST",
-                   help="comma-separated tolerances, strictly decreasing")
-    p.add_argument("--constraint", choices=("s1", "s2"))
-    p.add_argument("--start", choices=("auto", "observed", "flat"))
-    p.add_argument("--max-time", dest="max_time", type=float,
-                   help="wall-clock budget per run (s)")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--monotone", action="store_const", const=True,
-                   default=None, help="monotone line search")
+def _add_flags(parser, verb):
+    """--config, then the flags of the keys the verb sets, in KEYS order."""
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    for key, row in KEYS.items():
+        if verb not in row.verbs:
+            continue
+        help = row.help.get(verb) if isinstance(row.help, dict) else row.help
+        flag = dict(dest=key, help=help, **row.flag)
+        if "action" not in flag:
+            flag.setdefault("type", type(row.default))
+        if "choices" in flag:
+            flag.setdefault("metavar", "{%s}" % ",".join(flag.pop("choices")))
+        parser.add_argument(flag.pop("option", "--" + key.replace("_", "-")),
+                            **flag)
 
 
 @functools.cache
@@ -550,21 +557,13 @@ def build_parser():
         description="TV-regularized Poisson image restoration benchmark")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("generate", help="write a problem bundle")
-    _add_common_flags(p)
-    p.add_argument("--lambda", dest="lambda", type=float,
-                   help="regularization hint recorded in the bundle")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("solve", help="one solver run")
-    _add_common_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", help="tolerance sweep")
-    _add_common_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    for verb, help, func in (
+            ("generate", "write a problem bundle", cmd_generate),
+            ("solve", "one solver run", cmd_solve),
+            ("sweep", "tolerance sweep", cmd_sweep)):
+        p = sub.add_parser(verb, help=help)
+        _add_flags(p, verb)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="plot data from sweep results")
     p.add_argument("dirs", nargs="+", metavar="DIR",

@@ -81,10 +81,6 @@ class TvStencil:
         return self
 
 
-def grad_norms(x):
-    return TvStencil(x).fill(x).norms
-
-
 def tv_mu_value(x, mu, stencil=None):
     """Smoothed TV: the sum over pixels of the Huber value of the gradient
     magnitude n, which is n above mu and (n^2 / mu + mu) / 2 below.

@@ -12,10 +12,11 @@ import pytest
 
 import poissontv.cli
 import poissontv.solver
-from poissontv.cli import (DEFAULTS, ConfigError, main, resolve_problem,
-                           starting_guess, sweep_rows)
-from poissontv.image import load_f64img, save_f64img
-from poissontv.testbed import load_problem, mssim
+from poissontv.cli import (CHOICES, DEFAULTS, KEYS, ConfigError, build_parser,
+                           load_config, main, resolve_problem, starting_guess,
+                           sweep_rows)
+from poissontv.image import load_f64img, save_f64img, save_pgm
+from poissontv.testbed import load_problem, mssim, shepp_logan
 
 
 def read_csv(path):
@@ -402,6 +403,19 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     save_f64img(nan_image, np.full((32, 32), np.nan))
     assert run("solve", "--problem", str(nan_image), "--out", out) == 2
     assert "reference image must be finite" in capsys.readouterr().err
+    # An image whose stem, the problem's name, would name a file elsewhere
+    # or break plot.gp's quoted strings, as a bundle's recorded name may
+    # not; such a stem used to sweep and land in summary.csv.
+    for stem in ("a'b", 'a"b', "a\\b"):
+        image = tmp_path / f"{stem}.pgm"
+        save_pgm(image, shepp_logan(32))
+        for verb, cap in (("generate", ()), ("solve", ("--max-iters", "5")),
+                          ("sweep", ("--max-iters", "5"))):
+            capsys.readouterr()
+            assert run(verb, "--problem", str(image), *cap,
+                       "--out", out) == 2, (stem, verb)
+            assert "holds a path separator or a quote" in \
+                capsys.readouterr().err, (stem, verb)
     # Config-file values of the wrong type, which used to end in a
     # traceback.
     for user in ({"tol": "abc"}, {"tol": [0.001, "x"]}, {"tol": None},
@@ -489,8 +503,6 @@ def test_psf_support_checked_before_the_kernel_is_built():
 
 
 def test_solve_from_pgm_file(tmp_path):
-    from poissontv.image import save_pgm
-    from poissontv.testbed import shepp_logan
     img = tmp_path / "ref.pgm"
     save_pgm(img, shepp_logan(32))
     out = str(tmp_path / "run")
@@ -593,8 +605,6 @@ def test_phantom_names_the_built_in_phantom_whatever_the_cwd_holds(
     # from another image with another blur and recording another name.
     cfg = dict(DEFAULTS, size=32, snr=30.0, seed=4)
     expected = resolve_problem(cfg)
-    from poissontv.image import save_pgm
-    from poissontv.testbed import shepp_logan
     save_pgm(tmp_path / "square.pgm", shepp_logan(48))
     monkeypatch.chdir(tmp_path)
     assert run("generate", "--problem", "square.pgm", "--blur", "motion",
@@ -615,3 +625,123 @@ def test_phantom_names_the_built_in_phantom_whatever_the_cwd_holds(
                            ".f64img")
     assert restored.shape == (32, 32)
     assert run("sweep", "--size", "16", "--out", "small") == 2
+
+
+def test_meta_records_a_bundles_own_values(tmp_path):
+    # A bundle's noise and blur are its own, and it does not record the
+    # settings that shaped its image and PSF; meta.json used to echo the
+    # config's snr, seed, background and blur settings instead.
+    bundle = tmp_path / "bundle"
+    assert run("generate", *GEN, "--blur", "motion", "--background", "1e-9",
+               "--out", str(bundle)) == 0
+    for verb in ("solve", "sweep"):
+        out = tmp_path / verb
+        assert run(verb, "--problem", str(bundle), "--tol", "1e-2",
+                   "--max-iters", "3", "--out", str(out)) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert {key: meta[key] for key in (
+            "snr", "seed", "background", "blur", "size", "variant", "sigma",
+            "psf_size", "length", "angle", "radius")} == {
+            "snr": 30.0, "seed": 4, "background": 1e-9, "blur": "motion",
+            "size": None, "variant": None, "sigma": None, "psf_size": None,
+            "length": None, "angle": None, "radius": None}, verb
+        assert meta["problem"] == str(bundle) and meta["tol"] == [1e-2]
+
+
+def test_defaults_are_the_documented_values():
+    expected = {
+        "problem": "phantom", "size": 256, "variant": "modified",
+        "blur": "gaussian", "sigma": 2.0, "psf_size": 0, "length": 11,
+        "angle": 45.0, "radius": 4, "snr": 35.0, "seed": 1,
+        "background": 1e-10, "method": "acquire", "lambda": 6e-3,
+        "mu": 1e-2, "gamma": 1e-5, "eta": 1e-5, "delta": 0.5, "memory": 5,
+        "theta": 0.1, "inner_max_iters": 10, "constraint": "s1",
+        "start": "auto", "tol": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
+        "max_time": 25.0, "max_iters": 10000, "monotone": False,
+        "out": "results"}
+    # 4 and 4.0 compare equal, but meta.json writes them apart.
+    assert {key: (type(value), value) for key, value in DEFAULTS.items()} \
+        == {key: (type(value), value) for key, value in expected.items()}
+    assert set(CHOICES) == {"variant", "blur", "method", "constraint",
+                            "start"}
+
+
+def test_each_flag_sets_what_its_config_key_sets(tmp_path):
+    # Every key a flag sets, with a value other than its default: the
+    # flag's arguments and the value a config file gives for it.
+    image, out = tmp_path / "ref.pgm", str(tmp_path / "run")
+    save_pgm(image, shepp_logan(32))
+    cases = {
+        "problem": (["--problem", str(image)], str(image)),
+        "size": (["--size", "48"], 48),
+        "variant": (["--variant", "original"], "original"),
+        "blur": (["--blur", "disk"], "disk"),
+        "sigma": (["--sigma", "1.5"], 1.5),
+        "psf_size": (["--psf-size", "7"], 7),
+        "length": (["--len", "7"], 7.0),
+        "angle": (["--angle", "30"], 30.0),
+        "radius": (["--radius", "3"], 3.0),
+        "snr": (["--snr", "30"], 30.0),
+        "seed": (["--seed", "4"], 4),
+        "background": (["--background", "1e-9"], 1e-9),
+        "out": (["--out", out], out),
+        "method": (["--method", "sgp"], "sgp"),
+        "lambda": (["--lambda", "5e-3"], 5e-3),
+        "mu": (["--mu", "2e-2"], 2e-2),
+        "gamma": (["--gamma", "1e-4"], 1e-4),
+        "theta": (["--theta", "0.2"], 0.2),
+        "inner_max_iters": (["--inner-iters", "5"], 5),
+        "tol": (["--tol", "1e-2,1e-3"], [1e-2, 1e-3]),
+        "constraint": (["--constraint", "s2"], "s2"),
+        "start": (["--start", "flat"], "flat"),
+        "max_time": (["--max-time", "30"], 30.0),
+        "max_iters": (["--max-iters", "3"], 3),
+        "monotone": (["--monotone"], True),
+    }
+    assert set(cases) == {key for key, row in KEYS.items() if row.verbs}
+    assert {key for key, row in KEYS.items() if not row.verbs} == {
+        "eta", "delta", "memory"}
+    cfg = tmp_path / "cfg.json"
+    parse = build_parser().parse_args
+    for key, (flag, value) in cases.items():
+        cfg.write_text(json.dumps({key: value}))
+        for verb in KEYS[key].verbs:
+            by_flag = load_config(parse([verb, *flag]))
+            by_file = load_config(parse([verb, "--config", str(cfg)]))
+            assert by_flag == by_file, (key, verb)
+            assert type(by_flag[key]) is type(value), (key, verb)
+            assert by_flag[key] == value != DEFAULTS[key], (key, verb)
+    # All at once, into the meta.json of a solve.
+    cfg.write_text(json.dumps({key: value for key, (_, value)
+                               in cases.items()}))
+    metas = []
+    for args in ([arg for flag, _ in cases.values() for arg in flag],
+                 ["--config", str(cfg)]):
+        assert run("solve", *args) == 0, args
+        metas.append(json.loads(open(os.path.join(out, "meta.json")).read()))
+    for meta in metas:
+        assert {key: meta[key] for key in cases} == {
+            key: value for key, (_, value) in cases.items()}
+        del meta["time_s"]
+    assert metas[0] == metas[1]
+
+
+@pytest.mark.parametrize("key, message", [
+    ("variant", "must be original or modified"),
+    ("blur", "must be gaussian, motion or disk"),
+    ("method", "must be acquire, sgp or both"),
+    ("constraint", "must be s1 or s2"),
+    ("start", "must be auto, observed or flat")])
+def test_choice_keys_reject_flags_and_config_files_alike(
+        tmp_path, capsys, key, message):
+    # Argparse used to reject a bad --variant, --blur, --constraint or
+    # --start with its usage error, and a config file's variant reached
+    # the phantom unchecked.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    out = str(tmp_path / "x")
+    for args in (["--" + key, "bogus"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert run("solve", "--size", "32", *args, "--out", out) == 2, args
+        assert capsys.readouterr().err == f"error: field '{key}': {message}\n"
+    assert not os.path.exists(out)

@@ -17,7 +17,9 @@ both` restores it over S2 at three tolerances, `solve` runs SGP on it
 over S1 for 20 iterations, and `report` turns the sweep into plot data.
 Each written file prints one line: its path and the digest of its
 contents, less what the clock sets (see `_untimed`).  The printed output
-is not digested.
+is not digested.  Last, each verb's `--help` text, formatted 80 columns
+wide whatever the terminal, prints one line with its digest, so that a
+change to a flag or its help text shows too.
 
 With `--against <checkout>`, it runs this script on that checkout's `src`
 as well, in a subprocess, and prints only the lines where the two trees
@@ -38,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
@@ -140,6 +143,20 @@ def cli_output_lines():
             os.chdir(home)
 
 
+def help_lines():
+    """One line per verb's --help text, as the module docstring describes."""
+    lines = []
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for verb in ("generate", "solve", "sweep", "report"):
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), \
+                    contextlib.suppress(SystemExit):
+                cli.main([verb, "--help"])
+            sha = hashlib.sha256(text.getvalue().encode()).hexdigest()
+            lines.append(f"help-{verb} {sha[:16]}")
+    return lines
+
+
 def lines_of(src):
     """The lines this script prints when it runs on the package in src."""
     out = subprocess.run([sys.executable, os.path.abspath(__file__)],
@@ -154,13 +171,14 @@ def main():
                         help="compare with the outputs of this checkout")
     args = parser.parse_args()
     if args.against is None:
-        print(*fingerprint_lines(), *cli_output_lines(), sep="\n")
+        print(*fingerprint_lines(), *cli_output_lines(), *help_lines(),
+              sep="\n")
         return 0
     src = os.path.join(os.path.abspath(args.against), "src")
     if not os.path.isdir(os.path.join(src, "poissontv")):
         parser.error(f"no package at {src}/poissontv")
     theirs = lines_of(src)
-    ours = fingerprint_lines() + cli_output_lines()
+    ours = fingerprint_lines() + cli_output_lines() + help_lines()
     differ = 0
     for their, our in itertools.zip_longest(theirs, ours, fillvalue=""):
         if their != our:
