@@ -154,7 +154,8 @@ class BlurOperator:
     product with the OTF in place, ifft along columns in place, and an
     irfft along rows, told the grid width (which odd widths need), into
     a fresh result.  So `apply` and `apply_adjoint` return new arrays
-    and allocate no other image-sized temporary.  Because of the shared
+    and allocate no other image-sized temporary.  `psf_sq_norm` is the
+    kernel's sum of squares, the diagonal of A^T A.  Because of the shared
     buffer, one operator must not be applied from two threads at once.
     The solvers apply it only on the thread that called them: the worker
     a solve runs beside it computes TV halves, which never blur.
@@ -173,6 +174,7 @@ class BlurOperator:
         padded[np.ix_(rows, cols)] = kernel
         self.r = r
         self.s = s
+        self.psf_sq_norm = float(np.sum(kernel * kernel))
         # A call's two forward passes: rfft2's bits, in less time.
         self._otf = np.fft.rfft(padded, axis=1)
         np.fft.fft(self._otf, axis=0, out=self._otf)

@@ -92,9 +92,11 @@ KEYS = {
     "theta": _key(AcquireConfig.theta, "inner stop ratio"),
     "inner_max_iters": _key(AcquireConfig.inner_max_iters, "inner iteration "
                             "cap (0 = uncapped)", option="--inner-iters"),
+    # Read as text and parsed by load_config, so that a bad entry exits
+    # through ConfigError rather than argparse's usage error.
     "tol": _key([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7],
                 "comma-separated tolerances, strictly decreasing",
-                type=_parse_tol_list, metavar="LIST"),
+                type=str, metavar="LIST"),
     "constraint": _key("s1", None, choices=("s1", "s2")),
     "start": _key("auto", None, choices=("auto", "observed", "flat")),
     "max_time": _key(AcquireConfig.max_time, "wall-clock budget per run (s)"),
@@ -105,6 +107,9 @@ KEYS = {
 DEFAULTS = {key: row.default for key, row in KEYS.items()}
 CHOICES = {key: row.flag["choices"] for key, row in KEYS.items()
            if "choices" in row.flag}
+# The keys whose flags take only an integer.
+INTEGERS = {key for key, row in KEYS.items()
+            if type(row.default) is int and "type" not in row.flag}
 
 SUMMARY_COLUMNS = ("method", "problem", "snr", "tol", "min_rel_err",
                    "mssim", "iters", "time_s")
@@ -130,15 +135,16 @@ def load_config(args):
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
+            cfg[key] = _parse_tol_list(flag) if key == "tol" else flag
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg):
     """Each field has its default's JSON type (tol: a number or a list of
-    numbers), as a config file can hold any value; an integer one is
-    finite for int(); a choice key holds one of its choices."""
+    numbers), as a config file can hold any value; a key whose flag takes
+    only an integer holds one, and one whose default is an integer is
+    finite; a choice key holds one of its choices."""
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     for key, default in DEFAULTS.items():
@@ -151,6 +157,8 @@ def validate_config(cfg):
             ok = number(value)
         if not ok:
             raise ConfigError(f"field '{key}': {value!r} has the wrong type")
+        if key in INTEGERS and not isinstance(value, int):
+            raise ConfigError(f"field '{key}': must be an integer")
         if type(default) is int and not math.isfinite(value):
             raise ConfigError(f"field '{key}': must be finite")
         if key in CHOICES and value not in CHOICES[key]:
@@ -182,7 +190,7 @@ def build_psf(cfg, shape):
     square of its radius) is never built."""
     if cfg["blur"] == "gaussian":
         # Size 0 is full-image support: the largest odd size that fits.
-        size = int(cfg["psf_size"]) or min(shape) - 1 + min(shape) % 2
+        size = cfg["psf_size"] or min(shape) - 1 + min(shape) % 2
         support, build = size, lambda: gaussian_psf(size, cfg["sigma"])
     elif cfg["blur"] == "motion":
         args = cfg["length"], cfg["angle"]
@@ -219,13 +227,13 @@ def resolve_problem(cfg):
             problem = load_problem(name)
         else:
             if name == "phantom":
-                reference = shepp_logan(int(cfg["size"]), cfg["variant"])
+                reference = shepp_logan(cfg["size"], cfg["variant"])
             else:
                 loader = load_pgm if name.endswith(".pgm") else load_f64img
                 reference = loader(name)
             problem = make_problem(reference,
                                    build_psf(cfg, reference.shape),
-                                   cfg["snr"], int(cfg["seed"]),
+                                   cfg["snr"], cfg["seed"],
                                    background=cfg["background"])
         problem.data()          # the fidelity term checks the background
     except OSError as exc:
@@ -263,7 +271,7 @@ def starting_guess(cfg, problem):
 
 def solver_config(cfg, tol):
     # --monotone means memory 1; a memory below 1 is still rejected.
-    memory = int(cfg["memory"])
+    memory = cfg["memory"]
     return AcquireConfig(
         lam=cfg["lambda"],
         mu=cfg["mu"],
@@ -272,9 +280,9 @@ def solver_config(cfg, tol):
         delta=cfg["delta"],
         memory=min(memory, 1) if cfg["monotone"] else memory,
         theta=cfg["theta"],
-        inner_max_iters=int(cfg["inner_max_iters"]),
+        inner_max_iters=cfg["inner_max_iters"],
         tol=tol,
-        max_outer_iters=int(cfg["max_iters"]),
+        max_outer_iters=cfg["max_iters"],
         max_time=cfg["max_time"],
     )
 

@@ -100,6 +100,14 @@ class KlQuadraticModel:
         hv += np.multiply(self.gamma, v, out=self._work)
         return hv
 
+    def hessian_diag(self):
+        """A fresh estimate of the curvature operator's diagonal,
+        ||k||^2 u2 + gamma with ||k||^2 the PSF's sum of squares: exact
+        wherever u2 is constant over a PSF footprint, and free of blurs."""
+        h = np.multiply(self.data.op.psf_sq_norm, self.u2)
+        h += self.gamma
+        return h
+
     def _curvature(self, d):
         """H d; at the anchor (d = 0) it is zero and costs no blur."""
         return self.hessian_vec(d) if d.any() else np.zeros_like(d)

@@ -25,13 +25,15 @@ BETA_LS = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 50
 
-# The diagonal scaling is the iterate itself, clamped into
-# [SCALE_MIN, SCALE_MAX].  The floor only has to keep the metric positive
-# at exact zeros, so it sits far below the values iterates take (unit-max
-# images hold pixels near 1e-5).  A floor above a pixel turns the
-# multiplicative step z (1 - nu g) into the additive z - nu SCALE_MIN g,
-# which a long steplength drives to zero; the pixel then has to be
-# regrown over many short steps, and the run creeps.
+# The diagonal scaling is the iterate itself, or for a model that states
+# its Hessian diagonal h the iterate damped by it, z / (1 + z h), clamped
+# into [SCALE_MIN, SCALE_MAX]: fixed bounds keep SGP convergent whatever
+# the scaling (Bonettini, Zanella & Zanni 2009).  The floor only has to
+# keep the metric positive at exact zeros, so it sits far below the
+# values iterates take (unit-max images hold pixels near 1e-5).  A floor
+# above a pixel turns the multiplicative step z (1 - nu g) into the
+# additive z - nu SCALE_MIN g, which a long steplength drives to zero; the
+# pixel then has to be regrown over many short steps, and the run creeps.
 SCALE_MIN = 1e-10
 SCALE_MAX = 1e4
 
@@ -72,10 +74,18 @@ class SteplengthState:
         return self._work
 
 
-def scaling_matrix(z):
-    """Diagonal scaling: the iterate clamped into [SCALE_MIN, SCALE_MAX]."""
-    return DiagonalMetric(np.clip(z, SCALE_MIN, SCALE_MAX), SCALE_MIN,
-                          SCALE_MAX)
+def scaling_matrix(z, h=None):
+    """Diagonal scaling, clamped into [SCALE_MIN, SCALE_MAX]: the iterate
+    z, or with a Hessian diagonal h >= 0 the split-gradient-type scaling
+    z / (1 + z h) (Lanteri, Roche & Aime 2002), which is z where z h << 1
+    and the Jacobi scaling 1 / h where z h >> 1."""
+    if h is None:
+        d = np.clip(z, SCALE_MIN, SCALE_MAX)
+    else:
+        d = np.multiply(z, h)
+        d += 1.0
+        np.clip(np.divide(z, d, out=d), SCALE_MIN, SCALE_MAX, out=d)
+    return DiagonalMetric(d, SCALE_MIN, SCALE_MAX)
 
 
 def abbmin_steplength(state, metric, z, g):
@@ -211,20 +221,23 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
 
     One Hessian action H d per iteration gives the model's change along d
     exactly and the next gradient by the recurrence g + rho H d, as in
-    Bonettini, Zanella & Zanni (2009).  Stops when the projected-gradient
-    norm reaches `stop_norm_target` or the clock (`time.perf_counter`)
-    reaches `deadline`, either after at least one step (a loose target or
-    a spent budget that returned z0 would give the outer solver a zero
-    step, which ends its run as if converged), on the iteration cap, or
-    where the scaled step leaves z in place.  Every iterate is feasible
-    and the model values are monotone (Armijo sufficient decrease of the
-    change).
+    Bonettini, Zanella & Zanni (2009).  Where the model has a
+    `hessian_diag()`, read once per call, the steps are scaled by it (see
+    `scaling_matrix`); else by the iterate alone.  Stops when the
+    projected-gradient norm reaches `stop_norm_target` or the clock
+    (`time.perf_counter`) reaches `deadline`, either after at least one
+    step (a loose target or a spent budget that returned z0 would give
+    the outer solver a zero step, which ends its run as if converged), on
+    the iteration cap, or where the scaled step leaves z in place.  Every
+    iterate is feasible and the model values are monotone (Armijo
+    sufficient decrease of the change).
 
     The solver writes into the arrays that `hessian_vec` and
     `project_weighted` return, so those must be fresh; it never writes
     into z0, g0, a returned iterate, or a gradient.
     """
     state.begin_call()
+    h = model.hessian_diag() if hasattr(model, "hessian_diag") else None
     z = np.asarray(z0, dtype=np.float64)
     scaled = np.empty_like(z)
     g = g0
@@ -239,7 +252,7 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
                 break
         elif not feasible_set.contains(z):    # pg_norm's own check
             raise ValueError("point is not feasible")
-        metric = scaling_matrix(z)
+        metric = scaling_matrix(z, h)
         nu = abbmin_steplength(state, metric, z, g)
         found = sgp_direction(feasible_set, z, g, metric, nu, state, scaled)
         if found is None:

@@ -200,7 +200,8 @@ class OuterModel:
 
     `ax`, when given, is A x_k (see `KlQuadraticModel`).  The TV halves
     of the build and of `hessian_vec` run on `pool`; the Hessian action's
-    TV half writes into an array the model owns.
+    TV half writes into an array the model owns.  `hessian_diag` sums the
+    halves' diagonals, fresh, with no blur; `sgp_solve` scales by it.
     """
 
     def __init__(self, data, x_k, lam, mu, gamma, ax=None, pool=_INLINE):
@@ -216,6 +217,10 @@ class OuterModel:
 
     def gradient(self, x):
         return _add_scaled(self.kl.gradient(x), self.lam, self.tv.gradient(x))
+
+    def hessian_diag(self):
+        return _add_scaled(self.kl.hessian_diag(), self.lam,
+                           self.tv.hessian_diag(self._tv_hv))
 
     def hessian_vec(self, v):
         tv = _submit(self.pool, self.tv.hessian_vec, v, self._tv_hv)

@@ -151,5 +151,18 @@ class TvQuadraticModel:
         dh *= self.weights
         return diff_adjoint(dv, dh, out=out, work=self._work)
 
+    def hessian_diag(self, out=None):
+        """The curvature operator's exact diagonal, 2w plus w shifted down
+        one row and right one column (periodic wrap) for weights w, in
+        `out` when given, else fresh.  Grids of one row or column have no
+        vertical or horizontal differences, so there it is an upper bound."""
+        w = self.weights
+        out = np.multiply(2.0, w, out=out)
+        out[1:] += w[:-1]
+        out[:1] += w[-1:]
+        out[:, 1:] += w[:, :-1]
+        out[:, :1] += w[:, -1:]
+        return out
+
     # The model is quadratic: its Hessian action equals the gradient map.
     hessian_vec = gradient

@@ -382,6 +382,24 @@ def test_invalid_configs_rejected(tmp_path, capsys):
                  '{"max_iters": Infinity}', '{"seed": -Infinity}'):
         cfg.write_text(text)
         assert run("solve", "--config", str(cfg), "--out", out) == 2, text
+    # An integer field takes only a JSON integer, as its flag does: a
+    # seed of 4.5 used to solve with seed 4 and reach meta.json as 4.5.
+    for key, value in (("seed", 4.5), ("size", 32.0), ("psf_size", 0.5),
+                       ("memory", 2.0), ("inner_max_iters", 1.5),
+                       ("max_iters", 2.5)):
+        cfg.write_text(json.dumps({"size": 32, "max_iters": 2,
+                                   "method": "sgp", key: value}))
+        capsys.readouterr()
+        assert run("solve", "--config", str(cfg), "--out", out) == 2, key
+        assert capsys.readouterr().err == (
+            f"error: field '{key}': must be an integer\n"), key
+    assert not os.path.exists(out)
+    # A --tol entry that is no number used to end in argparse's usage
+    # error, naming its parser, instead of the field's own message.
+    capsys.readouterr()
+    assert run("solve", *BASE, "--tol", "abc", "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: field 'tol': entries must be numbers\n")
     # `solve` runs one method, and "both" used to run only ACQUIRE; a
     # comma list was an undocumented spelling of "both".
     capsys.readouterr()

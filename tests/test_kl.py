@@ -187,3 +187,23 @@ def test_model_rejects_negative_gamma():
     data, x = random_instance(14)
     with pytest.raises(ValueError):
         KlQuadraticModel(data, x, gamma=-1.0)
+
+
+def test_model_hessian_diagonal_where_the_weights_are_flat():
+    # ||k||^2 u2 + gamma is the diagonal of A'U^2A + gamma I wherever u2 is
+    # constant over a PSF footprint, as with flat x and flat y; it costs
+    # no blur, as the operator records ||k||^2 when it is built.
+    n = 8
+    psf = gaussian_psf(3, 1.0)
+    op = BlurOperator(psf, n, n)
+    assert op.psf_sq_norm == pytest.approx(float(np.sum(psf.kernel ** 2)),
+                                           rel=1e-15)
+    data = PoissonData(np.full((n, n), 5.0), 0.5, op)
+    model = KlQuadraticModel(data, np.full((n, n), 0.7), gamma=1e-5)
+    probed = np.empty((n, n))
+    for idx in np.ndindex(probed.shape):
+        e = np.zeros((n, n))
+        e[idx] = 1.0
+        probed[idx] = model.hessian_vec(e)[idx]
+    diag = model.hessian_diag()
+    assert np.max(np.abs(diag - probed)) <= 1e-12 * np.max(probed)

@@ -67,6 +67,54 @@ def test_scaling_matrix_clamps():
     assert scaling_matrix(z2).d.tolist() == [0.01, 3.0]
 
 
+def test_curvature_scaling_damps_the_iterate_by_the_hessian_diagonal():
+    # z / (1 + z h), clamped: the iterate where z h << 1, the Jacobi
+    # scaling 1 / h where z h >> 1, never above either, and within the
+    # same fixed bounds as the iterate scaling.
+    rng = np.random.default_rng(4)
+    z = np.concatenate([[0.0, 1e-12, 0.5, 1e6], rng.random(50) * 10.0])
+    h = np.concatenate([[3.0, 1e-3, 1e-6, 1e-6], 10.0 ** rng.uniform(
+        -5.0, 5.0, 50)])
+    d = scaling_matrix(z, h).d
+    assert np.array_equal(d, np.clip(z / (1.0 + z * h), sgp.SCALE_MIN,
+                                     sgp.SCALE_MAX))
+    assert np.all(d <= np.minimum(scaling_matrix(z).d, 1.0 / h))
+    small, big = z * h < 1e-3, z * h > 1e3
+    assert small.sum() >= 3 and big.sum() >= 3
+    assert np.allclose(d[small], scaling_matrix(z).d[small], rtol=1e-3)
+    assert np.allclose(d[big], 1.0 / h[big], rtol=1e-3)
+    assert np.array_equal(scaling_matrix(z, None).d, scaling_matrix(z).d)
+
+
+class DiagonalQuadratic(Quadratic):
+    """A quadratic that states its Hessian diagonal, as ACQUIRE's models do."""
+
+    def hessian_diag(self):
+        return np.diag(self.q_mat).copy()
+
+
+def test_solve_scales_by_the_models_hessian_diagonal(monkeypatch):
+    # A model with `hessian_diag` is scaled by it at every step; one
+    # without keeps the iterate scaling.
+    q_mat = np.diag([1.0, 400.0])
+    seen = []
+    scaling = sgp.scaling_matrix
+    monkeypatch.setattr(sgp, "scaling_matrix", lambda z, h=None: (
+        seen.append(h), scaling(z, h))[1])
+    for model in (DiagonalQuadratic(q_mat, [-1.0, -2.0]),
+                  Quadratic(q_mat, [-1.0, -2.0])):
+        seen.clear()
+        z0 = np.array([2.0, 2.0])
+        z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0,
+                             model.gradient(z0), SteplengthState(),
+                             max_iters=5, stop_norm_target=0.0)
+        assert len(seen) == trace.iterations > 0
+        if isinstance(model, DiagonalQuadratic):
+            assert all(np.array_equal(h, [1.0, 400.0]) for h in seen)
+        else:
+            assert seen == [None] * trace.iterations
+
+
 def test_default_scaling_floor_keeps_small_pixels_positive():
     # Unit-max iterates hold pixels near 1e-5.  With the scaling equal to
     # the iterate, a long step (nu = 0.6) against a gradient of +1 is the

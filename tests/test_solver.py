@@ -111,6 +111,23 @@ def test_outer_model_curvature():
                        rtol=1e-10, atol=1e-12)
 
 
+def test_outer_model_hessian_diagonal_sums_its_halves():
+    # The KL diagonal plus lam times the TV one, each exact at a flat
+    # anchor under flat counts, where u2 is constant.
+    problem = toy_problem()
+    data = problem.data()
+    x = problem.observed
+    model = OuterModel(data, x, LAM, 1e-2, 1e-5)
+    diag = model.hessian_diag()
+    assert np.array_equal(diag, model.kl.hessian_diag()
+                          + LAM * model.tv.hessian_diag())
+    flat = PoissonData(np.full_like(x, 3.0), 0.5, data.op)
+    model = OuterModel(flat, np.full_like(x, 2.0), LAM, 1e-2, 1e-5)
+    probed = np.array([model.hessian_vec(e.reshape(x.shape)).flat[i]
+                       for i, e in enumerate(np.eye(x.size))])
+    assert np.allclose(model.hessian_diag().ravel(), probed, rtol=1e-12)
+
+
 def test_full_step_satisfies_armijo_on_the_model():
     # With an (almost) exact inner solve of the quadratic model, the unit
     # step satisfies the sufficient-decrease test since eta < 1/2.
@@ -695,6 +712,30 @@ def test_loose_inner_target_does_not_end_the_run():
         assert min(trace.inner_iters) >= 1
         errors[theta] = min(trace.rel_error)
     assert errors[0.9] <= 1.01 * errors[0.1]
+
+
+def test_curvature_scaling_lowers_the_objective_of_acquire(monkeypatch):
+    # ACQUIRE's inner solves scale their steps by the model's Hessian
+    # diagonal; with the iterate scaling patched back in, the same runs
+    # reach a higher objective after 10 and after 30 outer iterations.
+    problem = make_problem(shepp_logan(64), gaussian_psf(63, 2.0), 35.0, 1)
+    flat = np.full_like(problem.observed,
+                        problem.flux / problem.observed.size)
+    config = AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=30,
+                           max_time=float("inf"))
+    scaling = sgp.scaling_matrix
+    for feasible, x0 in ((FeasibleSet.nonneg(), problem.observed),
+                         (FeasibleSet.nonneg(), flat),
+                         (FeasibleSet.nonneg_flux(problem.flux), flat)):
+        objectives = []
+        for iterate_only in (False, True):
+            monkeypatch.setattr(sgp, "scaling_matrix", (
+                lambda z, h=None: scaling(z)) if iterate_only else scaling)
+            _, trace = acquire_solve(problem.data(), feasible, x0, config)
+            assert len(trace.objective) == 30
+            objectives.append([trace.objective[k - 1] for k in (10, 30)])
+        curvature, iterate = objectives
+        assert all(a < b for a, b in zip(curvature, iterate)), objectives
 
 
 def test_sgp_restore_does_not_creep_on_the_phantom():

@@ -266,3 +266,23 @@ def test_model_am_gm_majorization():
     a = rng.uniform(0.02, 2.0, 100)
     z = rng.uniform(0.0, 3.0, 100)
     assert np.all(0.5 * z * z / a + 0.5 * a >= z - 1e-12)
+
+
+def test_model_hessian_diagonal_matches_probed_curvature():
+    # The diagonal that scales ACQUIRE's inner steps: 2w plus w shifted
+    # down one row and right one column, against H e_i for every pixel.
+    rng = np.random.default_rng(8)
+    x = rng.random((8, 8))
+    x[2:5, 3:6] = 0.4               # norms below mu: weights at 1/mu
+    model = TvQuadraticModel(x, 5e-2)
+    assert np.ptp(model.weights) > 1.0
+    probed = np.empty_like(x)
+    for idx in np.ndindex(x.shape):
+        e = np.zeros_like(x)
+        e[idx] = 1.0
+        probed[idx] = model.hessian_vec(e)[idx]
+    diag = model.hessian_diag()
+    assert np.max(np.abs(diag - probed)) <= 1e-12 * np.max(probed)
+    out = np.empty_like(x)
+    assert model.hessian_diag(out) is out
+    assert np.array_equal(out, diag)
