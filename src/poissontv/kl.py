@@ -77,7 +77,9 @@ class KlQuadraticModel:
     anchor; gamma >= 0 shifts it to guarantee strong convexity.  `ax`,
     when given, is A x_k; building the model then costs one adjoint.
     `gradient` and `hessian_vec` return fresh arrays; the model owns one
-    image-sized scratch array.  Each `value` call evaluates KL at x_k.
+    image-sized scratch array.  `av` is the A v of the latest Hessian
+    action, fresh, kept for its caller.  Each `value` call evaluates KL
+    at x_k.
     """
 
     def __init__(self, data, x_k, gamma, ax=None):
@@ -92,11 +94,12 @@ class KlQuadraticModel:
         self.u2 = data.y / (t_k * t_k)
         self.g_k = data.op.apply_adjoint(_residual_into(data, t_k))
         self._work = np.empty_like(x_k)
+        self.av = None
 
     def hessian_vec(self, v):
-        av = self.data.op.apply(v)
-        av *= self.u2
-        hv = self.data.op.apply_adjoint(av)
+        self.av = self.data.op.apply(v)
+        hv = self.data.op.apply_adjoint(
+            np.multiply(self.av, self.u2, out=self._work))
         hv += np.multiply(self.gamma, v, out=self._work)
         return hv
 

@@ -209,8 +209,15 @@ def sgp_direction(feasible_set, z, g, metric, nu, state, scaled):
 
 @dataclass
 class SgpTrace:
+    """An inner solve's accepted steps, final projected-gradient norm and
+    why it stopped: "target" (the norm met the stop target), "cap" (the
+    iteration cap, with the target unmet), "time" (the deadline),
+    "stationary" (no descent direction) or "stalled" (the Armijo search
+    gave up at round-off)."""
+
     iterations: int = 0
     final_pg_norm: float = float("nan")
+    stop_reason: str | None = None
 
 
 def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
@@ -223,13 +230,16 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
     exactly and the next gradient by the recurrence g + rho H d, as in
     Bonettini, Zanella & Zanni (2009).  Where the model has a
     `hessian_diag()`, read once per call, the steps are scaled by it (see
-    `scaling_matrix`); else by the iterate alone.  Stops when the
+    `scaling_matrix`); else by the iterate alone.  Where it has an
+    `accept_step(rho)`, each accepted step calls it once, after the Hessian
+    action along its direction, with its Armijo step rho.  Stops when the
     projected-gradient norm reaches `stop_norm_target` or the clock
     (`time.perf_counter`) reaches `deadline`, either after at least one
     step (a loose target or a spent budget that returned z0 would give
     the outer solver a zero step, which ends its run as if converged), on
-    the iteration cap, or where the scaled step leaves z in place.  Every
-    iterate is feasible and the model values are monotone (Armijo
+    the iteration cap, where the scaled step leaves z in place, or where
+    its search stalls at round-off; `SgpTrace.stop_reason` says which.
+    Every iterate is feasible and the model values are monotone (Armijo
     sufficient decrease of the change).
 
     The solver writes into the arrays that `hessian_vec` and
@@ -238,6 +248,7 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
     """
     state.begin_call()
     h = model.hessian_diag() if hasattr(model, "hessian_diag") else None
+    accept_step = getattr(model, "accept_step", None)
     z = np.asarray(z0, dtype=np.float64)
     scaled = np.empty_like(z)
     g = g0
@@ -245,10 +256,12 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
     pg_norm = None              # at z, once computed
     for _ in range(max_iters):
         if trace.iterations > 0 and time.perf_counter() >= deadline:
+            trace.stop_reason = "time"
             break
         if stop_norm_target is not None and trace.iterations > 0:
             pg_norm = feasible_set.pg_norm(z, g)
             if pg_norm <= stop_norm_target:
+                trace.stop_reason = "target"
                 break
         elif not feasible_set.contains(z):    # pg_norm's own check
             raise ValueError("point is not feasible")
@@ -256,6 +269,7 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
         nu = abbmin_steplength(state, metric, z, g)
         found = sgp_direction(feasible_set, z, g, metric, nu, state, scaled)
         if found is None:
+            trace.stop_reason = "stationary"
             break
         direction, slope = found
         hd = model.hessian_vec(direction)
@@ -263,8 +277,11 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
         step = armijo(lambda rho: rho * slope + 0.5 * rho * rho * curv,
                       0.0, slope, BETA_LS, BACKTRACK)
         if step is None:
+            trace.stop_reason = "stalled"
             break
         rho, _ = step
+        if accept_step is not None:
+            accept_step(rho)
         direction *= rho
         z = np.add(z, direction, out=direction)
         hd *= rho
@@ -272,6 +289,10 @@ def sgp_solve(model, feasible_set, z0, g0, state, max_iters,
         g = hd
         pg_norm = None
         trace.iterations += 1
-    trace.final_pg_norm = (feasible_set.pg_norm(z, g) if pg_norm is None
-                           else pg_norm)
+    if pg_norm is None:
+        pg_norm = feasible_set.pg_norm(z, g)
+    trace.final_pg_norm = pg_norm
+    if trace.stop_reason is None:       # the loop ran to its cap
+        trace.stop_reason = ("target" if stop_norm_target is not None
+                             and pg_norm <= stop_norm_target else "cap")
     return z, trace

@@ -2,13 +2,14 @@
 
 Both run one outer loop, `_line_search_run`, and differ only in their
 direction, Armijo window and constants, and stop rule.  The loop carries
-A x with the iterate x, so a search along d blurs once (A d) and each
+A x with the iterate x, so a search along d needs A d once and each
 trial's A x is A x + rho A d; the objective keeps no state.  ACQUIRE's
 direction solves a strongly convex quadratic model of the smoothed
 objective (second-order Taylor model of the KL term plus the reweighted
-TV surrogate) inexactly with scaled gradient projection, and its Armijo
-step is nonmonotone.  The SGP baseline's is one scaled gradient-projection
-step, searched monotonically.
+TV surrogate) inexactly with scaled gradient projection, whose Hessian
+actions also give A d, and its Armijo step is nonmonotone.  The SGP
+baseline's is one scaled gradient-projection step, searched
+monotonically, whose search blurs d.
 
 Every objective value and gradient, model build and Hessian action is
 a KL half plus lam times a TV half, which share nothing but x; a solve
@@ -160,6 +161,7 @@ class SolverTrace:
         "inner_target": float("nan"),    # inner stopping thresholds
         "inner_ref_norm": float("nan"),  # projected-gradient norm at x0
         "inner_cap_hit": False,
+        "inner_stop": "",                # SgpTrace.stop_reason
     }
     CSV_COLUMNS = ("iter",) + tuple(COLUMNS)[1:9]
 
@@ -202,6 +204,9 @@ class OuterModel:
     of the build and of `hessian_vec` run on `pool`; the Hessian action's
     TV half writes into an array the model owns.  `hessian_diag` sums the
     halves' diagonals, fresh, with no blur; `sgp_solve` scales by it.
+    `accept_step(rho)` adds rho A v, for the v of the latest Hessian
+    action, to `ad`, which so holds A (z - x_k) for the z that `sgp_solve`
+    has reached (None before its first step), with no blur of its own.
     """
 
     def __init__(self, data, x_k, lam, mu, gamma, ax=None, pool=_INLINE):
@@ -211,6 +216,7 @@ class OuterModel:
         self.lam = lam
         self.pool = pool
         self._tv_hv = np.empty_like(self.kl.x_k)
+        self.ad = None
 
     def value(self, x):
         return self.kl.value(x) + self.lam * self.tv.value(x)
@@ -225,6 +231,14 @@ class OuterModel:
     def hessian_vec(self, v):
         tv = _submit(self.pool, self.tv.hessian_vec, v, self._tv_hv)
         return _add_scaled(self.kl.hessian_vec(v), self.lam, tv.result())
+
+    def accept_step(self, rho):
+        av, self.kl.av = self.kl.av, None
+        av *= rho
+        if self.ad is None:
+            self.ad = av
+        else:
+            self.ad += av
 
 
 def _add_scaled(a, lam, b):
@@ -312,11 +326,14 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
                                      stop_norm_target=target,
                                      deadline=deadline)
             d = x_hat - x
-            return d, _dot(g, d), dict(
+            # A d is the sum the inner steps' Hessian actions gave; with
+            # no step taken, d and A d are zero.
+            ad = np.zeros_like(d) if model.ad is None else model.ad
+            return d, ad, _dot(g, d), dict(
                 pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
                 inner_target=target, inner_ref_norm=ref_norm,
-                inner_cap_hit=inner.iterations >= inner_cap
-                and inner.final_pg_norm > target)
+                inner_cap_hit=inner.stop_reason == "cap",
+                inner_stop=inner.stop_reason)
 
         return _line_search_run(objective, x, ax, direction, config.memory,
                                 config.eta, config.delta,
@@ -406,7 +423,7 @@ def sgp_restore(data, feasible_set, x0, config, ground_truth=None,
                 # A non-finite iterate fails here, whatever the direction
                 # made of it.
                 row = dict(pg_norm=pg_norm.result())
-            return None if found is None else (*found, row)
+            return None if found is None else (found[0], None, found[1], row)
 
         return _line_search_run(objective, x, data.op.apply(x), direction,
                                 1, BETA_LS, BACKTRACK,
@@ -419,10 +436,11 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
     """The outer loop of both solvers, from feasible x with its A x;
     returns (x, trace).
 
-    Iteration k takes (d, slope, trace columns) from `direction(k, x, ax)`,
-    or ends the run on None, and searches x + rho d with `armijo` against
-    the largest of the last `window` objective values.  It applies A once
-    per search, to d, after starting the first trial's TV half on the
+    Iteration k takes (d, A d or None, slope, trace columns) from
+    `direction(k, x, ax)`, or ends the run on None, and searches x + rho d
+    with `armijo` against the largest of the last `window` objective
+    values.  Where the direction brings no A d, it applies A once per
+    search, to d, after starting the first trial's TV half on the
     worker.  Each trial evaluates at its own fresh pair (x + rho d,
     A x + rho A d), the point formed on the worker beside its TV half and
     A x + rho A d on the calling thread beside its KL half; the accepted
@@ -443,9 +461,10 @@ def _line_search_run(objective, x, ax, direction, window, eta, delta, stop,
         if found is None:
             trace.stop_reason = "stationary"
             break
-        d, slope, row = found
+        d, ad, slope, row = found
         first = objective.start_trial(x, d)
-        ad = objective.data.op.apply(d)
+        if ad is None:
+            ad = objective.data.op.apply(d)
 
         def value_at(rho):
             nonlocal trial

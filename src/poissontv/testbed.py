@@ -8,6 +8,7 @@ metrics used to score restorations.
 
 from dataclasses import dataclass
 import json
+import math
 import os
 
 import numpy as np
@@ -306,7 +307,13 @@ def save_problem(problem, directory, extra_meta=None):
 
 
 def load_problem(directory):
-    """A `save_problem` bundle, with its recorded name and blur or None."""
+    """A `save_problem` bundle, with its recorded name and blur or None.
+
+    Raises ValueError where the bundle could not score or restore: meta
+    numbers that are not finite, a scale that is not positive, a seed
+    that is not a nonnegative integer, or a ground truth that is not
+    finite, is all zero or is not shaped as the observation.
+    """
     ground_truth = load_f64img(os.path.join(directory, "ground_truth.f64img"))
     observed = load_f64img(os.path.join(directory, "observed.f64img"))
     psf = Psf.load(os.path.join(directory, "psf.f64img"))
@@ -314,9 +321,21 @@ def load_problem(directory):
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError("meta.json must hold a JSON object")
-    if not {type(meta[key]) for key in ("background", "scale", "snr_db")
-            } <= {int, float}:
+    numbers = [meta[key] for key in ("background", "scale", "snr_db")]
+    if not {type(v) for v in numbers} <= {int, float}:
         raise ValueError("meta background, scale and snr_db must be numbers")
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("meta background, scale and snr_db must be finite")
+    if not meta["scale"] > 0:
+        raise ValueError("meta scale must be positive, as the scaled "
+                         "background must be positive")
+    if type(meta["seed"]) is not int or meta["seed"] < 0:
+        raise ValueError("meta seed must be a nonnegative integer")
+    if ground_truth.shape != observed.shape:
+        raise ValueError(f"ground truth shape {ground_truth.shape} does not "
+                         f"match the observed shape {observed.shape}")
+    if not (np.isfinite(ground_truth).all() and ground_truth.any()):
+        raise ValueError("ground truth must be finite and not all zero")
     name, blur = meta.get("problem"), meta.get("blur")
     if blur not in (None, *BLURS) or not (name is None or is_plain_name(name)):
         raise ValueError(f"meta entries problem {name!r} and blur {blur!r}: "

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import threading
 import tracemalloc
@@ -456,6 +457,19 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     assert run("generate", *GEN, "--out", bundle) == 0
     meta = json.loads((tmp_path / "bundle" / "meta.json").read_text())
     del meta["seed"]
+    # Ground truths no error can be scored against, and meta numbers no
+    # run can use, which used to end in a traceback (a NaN pixel in the
+    # sweep's summary, another shape, all zeros, a zero scale) or run and
+    # echo the value into meta.json (a NaN SNR, a seed other than an
+    # integer).
+    truth = load_f64img(os.path.join(bundle, "ground_truth.f64img"))
+    nan_truth = truth.copy()
+    nan_truth[3, 5] = np.nan
+
+    def f64img(image):
+        path = tmp_path / "image.f64img"
+        save_f64img(path, image)
+        return path.read_bytes()
     for i, (name, text, message) in enumerate((
             ("observed.f64img", None, "cannot read"),
             ("meta.json", "{", "problem settings"),
@@ -481,14 +495,28 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             ("meta.json", json.dumps(dict(meta, seed=4, problem=5)),
              "no path separator or quote"),
             ("meta.json", json.dumps(dict(meta, seed=4, blur="bogus")),
-             "blur 'bogus': a name holds"))):
+             "blur 'bogus': a name holds"),
+            ("ground_truth.f64img", f64img(nan_truth),
+             "ground truth must be finite"),
+            ("ground_truth.f64img", f64img(truth[:, :-1]),
+             "ground truth shape (32, 31) does not match"),
+            ("ground_truth.f64img", f64img(np.zeros_like(truth)),
+             "not all zero"),
+            ("meta.json", json.dumps(dict(meta, seed=4, scale=0)),
+             "scale must be positive"),
+            ("meta.json", json.dumps(dict(meta, seed=4, snr_db=math.nan)),
+             "must be finite"),
+            ("meta.json", json.dumps(dict(meta, seed="x")),
+             "seed must be a nonnegative integer"))):
         broken = tmp_path / f"broken{i}"
         broken.mkdir()
         for item in os.listdir(bundle):
             if item != name:
                 (broken / item).write_bytes(
                     (tmp_path / "bundle" / item).read_bytes())
-        if text is not None:
+        if isinstance(text, bytes):
+            (broken / name).write_bytes(text)
+        elif text is not None:
             (broken / name).write_text(text)
         for verb in ("solve", "sweep"):
             capsys.readouterr()

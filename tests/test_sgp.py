@@ -418,6 +418,56 @@ def test_solve_calls_nothing_of_the_model_but_its_hessian_action():
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
+class StepSummingQuadratic(Quadratic):
+    """A quadratic that sums rho v over the steps `sgp_solve` accepts,
+    for the v of its latest Hessian action."""
+
+    def __init__(self, q_mat, q_vec):
+        super().__init__(q_mat, q_vec)
+        self.moved = np.zeros(len(self.q_vec))
+
+    def hessian_vec(self, v):
+        self.v = v.copy()
+        return super().hessian_vec(v)
+
+    def accept_step(self, rho):
+        self.moved += rho * self.v
+
+
+@pytest.mark.parametrize("reason", ["target", "cap", "time", "stationary",
+                                    "stalled"])
+def test_solve_records_why_it_stopped(reason):
+    # Each exit on a toy problem.  Whichever it is, the accepted steps'
+    # rho v add up to the distance moved: a stalled search's action is
+    # not among them.
+    q_mat, q_vec = np.diag([1.0, 4.0]), np.array([-1.0, -2.0])
+    z0, kwargs = np.array([2.0, 2.0]), {}
+    if reason == "target":
+        kwargs = dict(stop_norm_target=1e-10)
+    elif reason == "cap":
+        kwargs = dict(max_iters=2, stop_norm_target=0.0)
+    elif reason == "time":
+        kwargs = dict(deadline=0.0)
+    elif reason == "stationary":
+        z0 = np.array([1.0, 0.5])            # the minimizer
+    else:
+        # A slope of -1e-40 along a curvature the search never resolves
+        # (the model's gradient at z0 is the caller's, here 1e-15).
+        q_mat, z0 = np.diag([1e30, 1e30]), np.full(2, 1e-20)
+    model = StepSummingQuadratic(q_mat, q_vec)
+    g0 = np.full(2, 1e-15) if reason == "stalled" else model.gradient(z0)
+    z, trace = sgp_solve(model, FeasibleSet.nonneg(), z0, g0,
+                         SteplengthState(), **{"max_iters": 50, **kwargs})
+    assert trace.stop_reason == reason
+    if reason == "target":
+        assert 0 < trace.iterations < 50 and trace.final_pg_norm <= 1e-10
+    else:
+        assert trace.iterations == {"cap": 2, "time": 1}.get(reason, 0)
+    # The stalled search made a Hessian action; the stationary step none.
+    assert hasattr(model, "v") == (reason != "stationary")
+    assert np.allclose(model.moved, z - z0, rtol=1e-14, atol=0.0)
+
+
 def test_steplength_state_persists_across_calls(monkeypatch):
     model = Quadratic(np.diag([1.0, 4.0]), np.array([-1.0, -2.0]))
     feasible = FeasibleSet.nonneg()

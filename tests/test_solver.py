@@ -417,10 +417,11 @@ def test_every_tv_value_fills_the_stencil_its_objective_owns(monkeypatch,
 
 def test_acquire_blur_calls_per_outer_iteration():
     # One at the start (A x0), then per outer iteration: one adjoint to
-    # build the model (whose gradient at the anchor is then free), one
-    # Hessian action (A and its adjoint) per inner iteration, and one
-    # A d for the outer line search however many trials it makes.  The
-    # strict eta makes every outer step backtrack.
+    # build the model (whose gradient at the anchor is then free) and one
+    # Hessian action (A and its adjoint) per inner iteration.  The outer
+    # line search's A d is the sum of the inner actions' A v, so it costs
+    # no blur however many trials it makes.  The strict eta makes every
+    # outer step backtrack.
     problem = toy_problem()
     data = problem.data()
     calls = []
@@ -432,8 +433,98 @@ def test_acquire_blur_calls_per_outer_iteration():
         _, trace = acquire_solve(data, FeasibleSet.nonneg(), problem.observed,
                                  toy_config(max_outer_iters=8, **overrides))
         assert len(trace.iters) == 8
-        assert len(calls) == 1 + sum(2 * i + 2 for i in trace.inner_iters)
+        assert len(calls) == 1 + sum(2 * i + 1 for i in trace.inner_iters)
     assert all(a < 1.0 for a in trace.alpha)
+
+
+def handed_directions(monkeypatch):
+    """(x, (d, A d, slope, row)) for each direction that the outer search
+    is handed at x, in a list that fills as solves run."""
+    handed = []
+    run = solver._line_search_run
+
+    def spied(objective, x, ax, direction, *args):
+        def recorded(k, x, ax):
+            handed.append((x, direction(k, x, ax)))
+            return handed[-1][1]
+        return run(objective, x, ax, recorded, *args)
+
+    monkeypatch.setattr(solver, "_line_search_run", spied)
+    return handed
+
+
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+def test_outer_search_takes_a_d_from_the_inner_hessian_actions(monkeypatch,
+                                                               constraint):
+    # A d is the sum of rho A v over the inner steps, whichever way the
+    # inner solve ended: on its cap, on its target (uncapped), or on the
+    # deadline; and along a step that the outer search backtracks.  Past
+    # 1e-11 of A d, the two differ by the round-off of the N inner steps
+    # that form x_hat = x + d, each eps |x| (A sums to one): uncapped
+    # solves of hundreds of steps reach 1.2e-11 of A d, at 0.02 N eps |x|.
+    problem = toy_problem()
+    data = problem.data()
+    feasible = (FeasibleSet.nonneg() if constraint == "s1"
+                else FeasibleSet.nonneg_flux(problem.flux))
+    handed = handed_directions(monkeypatch)
+    solve = solver.sgp_solve
+    stops, alphas = set(), []
+    for overrides, deadline in (({"inner_max_iters": 3}, None), ({}, None),
+                                ({"eta": 0.99, "memory": 1}, None),
+                                ({}, 0.0)):
+        monkeypatch.setattr(solver, "sgp_solve", lambda *args, **kwargs: solve(
+            *args, **dict(kwargs, deadline=kwargs["deadline"]
+                          if deadline is None else deadline)))
+        _, trace = acquire_solve(data, feasible, problem.observed,
+                                 toy_config(max_outer_iters=15, **overrides))
+        stops.update(trace.inner_stop)
+        alphas += trace.alpha
+    assert {"cap", "target", "time"} <= stops
+    assert min(alphas) < 1.0
+    assert len(handed) > 40
+    eps = np.finfo(float).eps
+    for x, (d, ad, _, row) in handed:
+        exact = data.op.apply(d)
+        assert np.linalg.norm(ad - exact) <= (
+            1e-11 * np.linalg.norm(exact)
+            + row["inner_iters"] * eps * np.linalg.norm(x))
+
+
+def test_inner_solve_that_takes_no_step_hands_over_a_zero_a_d(monkeypatch):
+    # An inner search that stalls at once leaves x in place: A d is zero,
+    # and costs no blur beyond the stalled Hessian action.
+    problem = toy_problem()
+    data = problem.data()
+    handed = handed_directions(monkeypatch)
+    monkeypatch.setattr(sgp, "armijo", lambda *args: None)
+    calls = []
+    for name in ("apply", "apply_adjoint"):
+        fn = getattr(data.op, name)
+        setattr(data.op, name, lambda x, fn=fn: calls.append(1) or fn(x))
+    _, trace = acquire_solve(data, FeasibleSet.nonneg(), problem.observed,
+                             toy_config(max_outer_iters=3))
+    assert trace.inner_stop == ["stalled"] and trace.stop_reason == "tol"
+    (_, (d, ad, _, _)), = handed
+    assert not d.any() and not ad.any()
+    assert len(calls) == 1 + 1 + 2
+
+
+@pytest.mark.parametrize("constraint", ["s1", "s2"])
+def test_carried_ax_keeps_the_objective_after_100_outer_iterations(
+        constraint):
+    # Each outer step carries A x + alpha A d, with A d summed from the
+    # inner steps; after 100 of them the traced objective still equals
+    # the objective at x with A x blurred afresh.
+    problem = make_problem(shepp_logan(64), gaussian_psf(63, 2.0), 35.0, 1)
+    data = problem.data()
+    feasible = (FeasibleSet.nonneg() if constraint == "s1"
+                else FeasibleSet.nonneg_flux(problem.flux))
+    config = AcquireConfig(lam=6e-3, tol=0.0, max_outer_iters=100,
+                           max_time=np.inf)
+    x, trace = acquire_solve(data, feasible, problem.observed, config)
+    assert len(trace.iters) == 100
+    fresh = objective_value(data, x, config.lam, config.mu)
+    assert abs(trace.objective[-1] - fresh) <= 1e-12 * abs(fresh)
 
 
 def test_inner_gradient_recurrence_matches_fresh_gradient():
