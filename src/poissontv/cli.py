@@ -213,8 +213,8 @@ def resolve_problem(cfg):
     bundle directory, else a .pgm/.f64img file.  Its name and blur are a
     bundle's recorded ones, else the file stem and the config's blur; the
     name, which labels summary rows and names report files, holds no path
-    separator or quote.  Settings the phantom, PSF or observation reject
-    are ConfigErrors."""
+    separator or quote.  Settings the phantom, PSF, observation or
+    constraint reject are ConfigErrors."""
     name = cfg["problem"]
     bundle = is_bundle(name)
     if not (bundle or name == "phantom"
@@ -236,6 +236,7 @@ def resolve_problem(cfg):
                                    cfg["snr"], cfg["seed"],
                                    background=cfg["background"])
         problem.data()          # the fidelity term checks the background
+        feasible_set_for(cfg, problem)  # and S2 the flux
     except OSError as exc:
         raise ConfigError(f"field 'problem': cannot read {name}: {exc}")
     except KeyError as exc:
@@ -498,8 +499,7 @@ def cmd_report(args):
     for directory in args.dirs:
         rows.extend(read_summary(directory))
     if not rows:
-        print("error: summaries contain no runs", file=sys.stderr)
-        return 1
+        raise ConfigError("summaries contain no runs")
     out = args.out or args.dirs[0]
     os.makedirs(out, exist_ok=True)
     problems = sorted({row["problem"] for row in rows})

@@ -7,7 +7,9 @@ returns a C-ordered copy, like every array the program makes, so that
 elementwise work never mixes strides.  All boundary handling is periodic.
 """
 
+import re
 import struct
+from itertools import islice
 
 import numpy as np
 
@@ -63,21 +65,23 @@ def load_pgm(path):
     maxval must lie in 1..65535 and bound every sample."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    header, end = _pgm_tokens(raw, 4)
-    if not header or header[0] not in (b"P5", b"P2"):
+    tokens = _pgm_tokens(raw)
+    header = list(islice(tokens, 4))
+    if not header or header[0][1] not in (b"P5", b"P2"):
         raise ValueError(f"{path}: not a PGM file")
     if len(header) < 4:
         raise ValueError(f"{path}: truncated PGM")
-    s, r, maxval = map(int, header[1:])
+    s, r, maxval = (int(match[1]) for match in header[1:])
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
-    if header[0] == b"P2":
-        values, _ = _pgm_tokens(raw, r * s, end)
-        data = np.array([int(v) for v in values], dtype=np.float64)
+    if header[0][1] == b"P2":
+        data = np.array([int(match[1]) for match in islice(tokens, r * s)],
+                        dtype=np.float64)
     else:
         # The payload starts one whitespace byte after the maxval token.
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
-        payload = raw[end + 1:end + 1 + r * s * dtype.itemsize]
+        start = header[3].end() + 1
+        payload = raw[start:start + r * s * dtype.itemsize]
         data = np.frombuffer(payload, dtype=dtype,
                              count=len(payload) // dtype.itemsize)
         data = data.astype(np.float64)
@@ -88,24 +92,15 @@ def load_pgm(path):
     return data.reshape((r, s))  # PGM is row-major
 
 
-def _pgm_tokens(raw, count, start=0):
-    """The first `count` whitespace-separated tokens of raw from `start`,
-    skipping # comments, and the offset just past the last one; fewer
-    tokens where raw ends early."""
-    tokens = []
-    i = start
-    n = len(raw)
-    while i < n and len(tokens) < count:
-        c = raw[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and raw[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and not raw[j : j + 1].isspace():
-                j += 1
-            tokens.append(raw[i:j])
-            i = j
-    return tokens, i
+# Whitespace and # comments, then a token.  A comment ends at a newline or
+# at raw's end; unanchored, backtracking would make its tail a token.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
+
+
+def _pgm_tokens(raw):
+    """The matches of raw's whitespace-separated tokens, in order, each
+    token its group 1 and skipping # comments, until raw ends."""
+    end = 0
+    while match := _PGM_TOKEN.match(raw, end):
+        yield match
+        end = match.end()

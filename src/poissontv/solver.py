@@ -160,7 +160,6 @@ class SolverTrace:
         "mssim": float("nan"),           # scored by callers, where read
         "inner_target": float("nan"),    # inner stopping thresholds
         "inner_ref_norm": float("nan"),  # projected-gradient norm at x0
-        "inner_cap_hit": False,
         "inner_stop": "",                # SgpTrace.stop_reason
     }
     CSV_COLUMNS = ("iter",) + tuple(COLUMNS)[1:9]
@@ -206,7 +205,7 @@ class OuterModel:
     halves' diagonals, fresh, with no blur; `sgp_solve` scales by it.
     `accept_step(rho)` adds rho A v, for the v of the latest Hessian
     action, to `ad`, which so holds A (z - x_k) for the z that `sgp_solve`
-    has reached (None before its first step), with no blur of its own.
+    has reached (zero before its first step), with no blur of its own.
     """
 
     def __init__(self, data, x_k, lam, mu, gamma, ax=None, pool=_INLINE):
@@ -216,7 +215,7 @@ class OuterModel:
         self.lam = lam
         self.pool = pool
         self._tv_hv = np.empty_like(self.kl.x_k)
-        self.ad = None
+        self.ad = np.zeros_like(self.kl.x_k)
 
     def value(self, x):
         return self.kl.value(x) + self.lam * self.tv.value(x)
@@ -235,10 +234,7 @@ class OuterModel:
     def accept_step(self, rho):
         av, self.kl.av = self.kl.av, None
         av *= rho
-        if self.ad is None:
-            self.ad = av
-        else:
-            self.ad += av
+        self.ad += av
 
 
 def _add_scaled(a, lam, b):
@@ -326,13 +322,10 @@ def acquire_solve(data, feasible_set, x0, config, ground_truth=None,
                                      stop_norm_target=target,
                                      deadline=deadline)
             d = x_hat - x
-            # A d is the sum the inner steps' Hessian actions gave; with
-            # no step taken, d and A d are zero.
-            ad = np.zeros_like(d) if model.ad is None else model.ad
-            return d, ad, _dot(g, d), dict(
+            # A d is the sum the inner steps' Hessian actions gave.
+            return d, model.ad, _dot(g, d), dict(
                 pg_norm=inner.final_pg_norm, inner_iters=inner.iterations,
                 inner_target=target, inner_ref_norm=ref_norm,
-                inner_cap_hit=inner.stop_reason == "cap",
                 inner_stop=inner.stop_reason)
 
         return _line_search_run(objective, x, ax, direction, config.memory,

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import threading
 import tracemalloc
 import types
@@ -296,6 +297,13 @@ def test_report_missing_summary_errors(tmp_path, capsys):
                        "acquire,phantom,35,0.01\n")
     assert run("report", str(summary.parent), "--out", str(plots)) == 2
     assert not os.path.exists(tmp_path / "deep")
+    # A summary with no rows used to exit 1, unlike every other summary
+    # report cannot use.
+    summary.write_text(",".join(good) + "\n")
+    capsys.readouterr()
+    assert run("report", str(summary.parent), "--out", str(plots)) == 2
+    assert capsys.readouterr().err == "error: summaries contain no runs\n"
+    assert not os.path.exists(tmp_path / "deep")
     # The good row alone is reported.
     with open(summary, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(good))
@@ -523,7 +531,21 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             assert run(verb, "--problem", str(broken), "--max-iters", "5",
                        "--out", out) == 2, (name, verb)
             assert message in capsys.readouterr().err, (name, verb)
+    # A bundle with no flux above its background, which S2 cannot hold,
+    # used to end in a traceback after making the output directory.
+    dark = tmp_path / "dark"
+    shutil.copytree(bundle, dark)
+    save_f64img(dark / "observed.f64img", np.zeros_like(truth))
+    for verb in ("solve", "sweep"):
+        capsys.readouterr()
+        assert run(verb, "--problem", str(dark), "--constraint", "s2",
+                   "--max-iters", "5", "--out", out) == 2, verb
+        assert "problem settings: flux constant must be positive" in \
+            capsys.readouterr().err, verb
     assert not os.path.exists(out)
+    # Over S1 the same bundle still runs.
+    assert run("solve", "--problem", str(dark), "--max-iters", "5",
+               "--out", str(tmp_path / "dark_s1")) == 0
 
 
 def test_psf_support_checked_before_the_kernel_is_built():

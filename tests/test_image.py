@@ -54,11 +54,34 @@ def test_pgm_p2_with_comments(tmp_path):
 
 
 @pytest.mark.parametrize("raw", [
+    b"P2\n2 1\n255\n3 4\n# a comment with no newline",
+    b"P2\r\n# a comment\r\n2 1\r\n255\r\n3 4\r\n",  # CRLF line ends
+    b"P2\t2\x0b1\x0c255\t3\x0b4\x0c",                   # tab, VT, FF
+    b"P2\n2 1\n255\n# the samples\n3\n# between\n4\n",
+    b"P5\n2 1\n# the maxval\n255\n\x03\x04",
+])
+def test_pgm_tokens_and_comments(tmp_path, raw):
+    # Tokens are split at any ASCII whitespace, and a comment runs from
+    # its # to the end of its line or of the file.
+    path = tmp_path / "t.pgm"
+    path.write_bytes(raw)
+    assert load_pgm(path).tolist() == [[3.0, 4.0]]
+
+
+def test_pgm_hash_inside_a_token_starts_no_comment(tmp_path):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n3#4 5\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        load_pgm(path)
+
+
+@pytest.mark.parametrize("raw", [
     b"P2\n3 2\n255\n0 1 2\n3\n",        # P2 payload
     b"P2\n3",                            # header, after the width
     b"P5\n3 2\n",                        # header, before the maxval
     b"P5\n3 2\n255\n\x01\x02\x03\x04",   # P5 payload
     b"P5\n2 2\n65535\n\x00\x01\x00",     # P5 payload, 16-bit
+    b"P2\n2 1\n255\n3 # 4",               # a comment's tail is no sample
 ])
 def test_truncated_pgm_is_rejected(tmp_path, raw):
     path = tmp_path / "t.pgm"

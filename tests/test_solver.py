@@ -214,7 +214,7 @@ def test_inner_stop_thresholds_geometric_and_achieved():
             assert pg <= target * (1 + 1e-12)
             checked += 1
     assert checked >= 5
-    assert not any(trace.inner_cap_hit)
+    assert "cap" not in trace.inner_stop
 
 
 def test_inner_cap_flagged_when_binding():
@@ -223,7 +223,7 @@ def test_inner_cap_flagged_when_binding():
     _, trace = acquire_solve(problem.data(), FeasibleSet.nonneg(),
                              problem.observed, config)
     assert all(i <= 2 for i in trace.inner_iters)
-    assert any(trace.inner_cap_hit)
+    assert "cap" in trace.inner_stop
 
 
 def test_capped_inner_solve_takes_one_pg_norm_per_iteration(monkeypatch):
@@ -898,7 +898,7 @@ def test_trace_rows_take_column_defaults():
     trace.append(iters=1, objective=2.0, rel_change=0.5, pg_norm=0.1,
                  rel_error=0.3, time_s=0.0, mssim=float("nan"))
     assert trace.alpha == [1.0] and trace.inner_iters == [0]
-    assert trace.inner_cap_hit == [False]
+    assert trace.inner_stop == [""]
     with pytest.raises(KeyError, match="objective"):
         trace.append(iters=2)
     assert trace.iters == [1]       # a rejected row leaves no trace

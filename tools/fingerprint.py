@@ -11,11 +11,14 @@ the calling thread's order.  Each run prints one line: the SHA-256 of the
 restored image and of each trace column below, each cut to its first 16
 hex digits.
 
-Then, in a fresh working directory, it runs the CLI capped as in
-CLI_RUNS: `generate` writes a 64x64 motion-blur bundle, `sweep --method
-both` restores it over S2 at three tolerances, `solve` runs SGP on it
-over S1 for 20 iterations, and `report` turns the sweep into plot data.
-Each written file prints one line: its path and the digest of its
+Then, in a fresh working directory, it writes a 32x32 P2 PGM of the
+phantom with comments in its header and among its samples
+(`write_pgm_input`) and runs the CLI capped as in CLI_RUNS: `generate`
+writes a 64x64 motion-blur bundle, `sweep --method both` restores it over
+S2 at three tolerances, `solve` runs SGP on it over S1 for 20 iterations,
+`solve` runs ACQUIRE on the PGM for 10, so that `load_pgm` is compared
+end to end, and `report` turns the sweep into plot data.  Each written
+file, the PGM among them, prints one line: its path and the digest of its
 contents, less what the clock sets (see `_untimed`).  The printed output
 is not digested.  Last, each verb's `--help` text, formatted 80 columns
 wide whatever the terminal, prints one line with its digest, so that a
@@ -46,6 +49,7 @@ import numpy as np
 
 from poissontv import cli, solver
 from poissontv.solver import AcquireConfig, acquire_solve, sgp_restore
+from poissontv.testbed import shepp_logan
 
 COLUMNS = ("objective", "rel_change", "alpha", "inner_iters", "pg_norm",
            "rel_error", "inner_target")
@@ -67,6 +71,10 @@ CLI_RUNS = (["generate", "--size", "64", "--blur", "motion", "--len", "11",
             ["solve", "--problem", "bundle", "--method", "sgp",
              "--lambda", "6e-3", "--mu", "1e-2", "--tol", "1e-3",
              "--max-iters", "20", "--max-time", "1e9", "--out", "solve"],
+            ["solve", "--problem", "phantom.pgm", "--method", "acquire",
+             "--snr", "35", "--seed", "7", "--lambda", "6e-3", "--mu", "1e-2",
+             "--tol", "1e-3", "--max-iters", "10", "--max-time", "1e9",
+             "--out", "pgm"],
             ["report", "sweep", "--out", "report"])
 
 
@@ -122,6 +130,18 @@ def _untimed(path):
     return "\n".join(",".join(row) for row in rows).encode()
 
 
+def write_pgm_input(path):
+    """Write the 32x32 phantom as a P2 PGM at maxval 255, with comments
+    before its size, its maxval and its samples, and between two rows."""
+    image = shepp_logan(32)
+    rows = [" ".join(map(str, row))
+            for row in np.rint(image / image.max() * 255).astype(int)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(["P2", "# the phantom", "32 32", "# maxval",
+                            "255", "# samples", *rows[:16], "# row 16",
+                            *rows[16:]]) + "\n")
+
+
 def cli_output_lines():
     """One line per file that the CLI_RUNS write, as the module docstring
     describes."""
@@ -129,6 +149,7 @@ def cli_output_lines():
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            write_pgm_input("phantom.pgm")
             for argv in CLI_RUNS:
                 with contextlib.redirect_stdout(io.StringIO()):
                     if cli.main(argv) != 0:
